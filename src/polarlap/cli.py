@@ -5,8 +5,8 @@ One scenario per invocation:
     polarlap <kind> --config scenario.cfg [--out DIR] [--p P] [--grid-n N]
 
 Exit codes: 0 success, 1 configuration error, 2 violated scenario
-assumption or inadmissible polarizer, 3 unconverged solve present in the
-results, 4 output I/O failure.
+assumption, inadmissible polarizer or a domain left without free nodes,
+3 unconverged solve present in the results, 4 output I/O failure.
 """
 
 from __future__ import annotations
@@ -24,12 +24,14 @@ from .errors import (
     EmptyAdmissibleSet,
     IncompatiblePolarizer,
     MalformedDomain,
+    NoFreeNodes,
     NotAdmissible,
     OutOfBounds,
     ParseError,
     PolarlapError,
     SymmetryHypothesisViolated,
     ValidationError,
+    ZeroFunction,
 )
 from .geometry import (
     DIRICHLET,
@@ -44,6 +46,7 @@ from .geometry import (
     ShapeSpec,
     UnionShape,
     rasterize,
+    rotated_obstacle,
 )
 from .eigensolve import SolverConfig, solve
 from .discretize import triangulate
@@ -327,6 +330,12 @@ def parse_config(text: str) -> ScenarioConfig:
             _pair(_req(rd, "axis", "rotate"), "rotate.axis"),
             tuple(float(s) for s in _req(rd, "s_values", "rotate")),
             shape_from_dict(fixed, "rotate.fixed_hole") if fixed is not None else None)
+        try:
+            for s in rotate.s_values:
+                rotated_obstacle(rotate.obstacle, rotate.anchor, rotate.axis, s)
+        except ValueError as exc:
+            raise ValidationError(f"rotate.s_values: {exc}",
+                                  field="rotate.s_values") from exc
     if "annulus" in raw:
         ad = raw["annulus"]
         _take(ad, {"outer_radius", "hole_radius", "eccentricity",
@@ -343,6 +352,11 @@ def parse_config(text: str) -> ScenarioConfig:
             int(ad.get("step_cells", 1)),
             float(lof) if lof is not None else None,
             circles)
+        try:
+            xp.check_annulus(annulus.outer_radius, annulus.hole_radius,
+                             annulus.eccentricity, annulus.obstacle_radius)
+        except ValueError as exc:
+            raise ValidationError(f"annulus: {exc}", field="annulus") from exc
     if "symmetry" in raw:
         yd = raw["symmetry"]
         _take(yd, {"anchor", "axis"}, "symmetry")
@@ -453,7 +467,7 @@ def run(cfg: ScenarioConfig, out_dir: Optional[str] = None) -> int:
         unconverged = _dispatch(cfg, out)
     except (AssumptionViolated, NotAdmissible, SymmetryHypothesisViolated,
             IncompatiblePolarizer, EmptyAdmissibleSet, MalformedDomain,
-            OutOfBounds) as exc:
+            OutOfBounds, NoFreeNodes, ZeroFunction) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
@@ -531,8 +545,7 @@ def _dispatch(cfg: ScenarioConfig, out: Path) -> bool:
         _write(out / "result.csv", formats.sweep_to_csv(
             [0.0], [report.lam], [report.converged], [0], [0.0]))
         _write(out / "verdict.json", formats.dumps_json(report.to_dict()))
-        res = solve(triangulate(D), cfg.solver)
-        _write(out / "eigenfunction.pgm", formats.function_to_pgm(res.u))
+        _write(out / "eigenfunction.pgm", formats.function_to_pgm(report.u))
         return not report.converged
 
     raise ValidationError(f"unknown kind {kind!r}", field="kind")
@@ -547,9 +560,7 @@ def _apply_overrides(cfg: ScenarioConfig, args) -> ScenarioConfig:
     solver = cfg.solver
     grid = cfg.grid
     if args.p is not None:
-        solver = SolverConfig(args.p, solver.outer_tol, solver.inner_tol,
-                              solver.max_outer, solver.max_inner,
-                              solver.smoothing_eps)
+        solver = replace(solver, p=args.p)
     if args.grid_n is not None:
         n = args.grid_n
         # preserve the covered box: rescale the spacing with the cell count

@@ -4,7 +4,7 @@ for the polarization inequality and the obstacle-motion monotonicity checks."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -40,7 +40,7 @@ from .geometry import (
     translated_obstacle,
     witness_sets,
 )
-from .rearrange import polarize_function
+from .rearrange import GridFunction, polarize_function
 from .discretize import triangulate
 from .eigensolve import EigenResult, SolverConfig, solve
 
@@ -190,12 +190,7 @@ def fk_check(D: PuncturedDomain, H: Polarizer, p: float,
 
 
 def _with_p(cfg: Optional[SolverConfig], p: float) -> SolverConfig:
-    if cfg is None:
-        return SolverConfig(p=p)
-    if cfg.p != p:
-        return SolverConfig(p, cfg.outer_tol, cfg.inner_tol, cfg.max_outer,
-                            cfg.max_inner, cfg.smoothing_eps)
-    return cfg
+    return SolverConfig(p=p) if cfg is None else replace(cfg, p=p)
 
 
 # ---------------------------------------------------------------------------
@@ -453,6 +448,12 @@ def _feasible_obstacle(outer, hole, grid, center, rho):
         return None
 
 
+def check_annulus(R: float, r: float, alpha: float, rho: float) -> None:
+    """Raise ValueError unless the hole and the obstacle fit the annulus."""
+    if not (0 < r < R and 0 <= alpha < R - r and rho > 0):
+        raise ValueError("need 0 < r < R, 0 <= alpha < R - r, rho > 0")
+
+
 def annulus_study(R: float, r: float, alpha: float, rho: float, p: float,
                   grid: Grid, cfg: Optional[SolverConfig] = None,
                   step_cells: int = 1, line_offset: Optional[float] = None,
@@ -465,8 +466,7 @@ def annulus_study(R: float, r: float, alpha: float, rho: float, p: float,
     parallel-line sweep for the increasing-through-center claim, same-circle
     ordering checks, and a unimodality report for the right branch.
     """
-    if not (0 < r < R and 0 <= alpha < R - r and rho > 0):
-        raise ValueError("need 0 < r < R, 0 <= alpha < R - r, rho > 0")
+    check_annulus(R, r, alpha, rho)
     cfg = _with_p(cfg, p)
     d = grid.spacing
     outer = rasterize(Disk((0.0, 0.0), R), grid)
@@ -582,6 +582,7 @@ class SymmetryReport:
     converged: bool
     defects: tuple          # per pool polarizer, sup|P_H u - u| / sup u
     max_defect: float
+    u: GridFunction = field(compare=False, repr=False)  # left out of to_dict
 
     def to_dict(self) -> dict:
         return {
@@ -620,4 +621,4 @@ def symmetry_check(D: PuncturedDomain, a, eta, p: float,
         pu = polarize_function(H, res.u)
         defects.append(float(np.abs(pu.values - res.u.values).max()) / sup)
     return SymmetryReport(res.lam, res.converged, tuple(defects),
-                          max(defects))
+                          max(defects), res.u)

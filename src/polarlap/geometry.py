@@ -241,79 +241,64 @@ def _offset_from_t(kind: str, greater: bool, t: int, grid: Grid) -> float:
     return -v if greater else v
 
 
-def _cell_coord(kind: str, grid: Grid) -> np.ndarray:
-    u = 2 * np.arange(grid.nx) + 1
-    v = 2 * np.arange(grid.ny) + 1
-    if kind == "x":
-        return np.broadcast_to(u[None, :], grid.shape)
-    if kind == "y":
-        return np.broadcast_to(v[:, None], grid.shape)
-    if kind == "sum":
-        return u[None, :] + v[:, None]
-    return u[None, :] - v[:, None]
+class Reflection:
+    """A compatible reflection as an exact index map on the cells or nodes.
 
+    In half-unit coordinates every compatible reflection is one integer
+    affine map of (U, V); the image site is ((U' - off) / 2, (V' - off) / 2)
+    with off = 1 on cells and 0 on nodes.  coord is the reduced linear
+    functional, in_h / on_line / beyond split the sites by side of the line,
+    valid marks sites whose image stays in the window and index is the flat
+    position of that image (0 where it does not).
+    """
 
-def _node_coord(kind: str, grid: Grid) -> np.ndarray:
-    u = 2 * np.arange(grid.nx + 1)
-    v = 2 * np.arange(grid.ny + 1)
-    if kind == "x":
-        return np.broadcast_to(u[None, :], grid.node_shape)
-    if kind == "y":
-        return np.broadcast_to(v[:, None], grid.node_shape)
-    if kind == "sum":
-        return u[None, :] + v[:, None]
-    return u[None, :] - v[:, None]
+    def __init__(self, red: _Reduced, grid: Grid, nodes: bool = False):
+        off = 0 if nodes else 1
+        shape = grid.node_shape if nodes else grid.shape
+        ny, nx = shape
+        U = 2 * np.arange(nx)[None, :] + off
+        V = 2 * np.arange(ny)[:, None] + off
+        t = red.t
+        coord, (U2, V2) = {
+            "x": (U, (2 * t - U, V)),
+            "y": (V, (U, 2 * t - V)),
+            "sum": (U + V, (t - V, t - U)),
+            "diff": (U - V, (V + t, U - t)),
+        }[red.kind]
+        self.coord = np.broadcast_to(coord, shape)
+        self.in_h = (self.coord > t) if red.greater else (self.coord < t)
+        self.on_line = self.coord == t
+        self.beyond = ~self.in_h & ~self.on_line
+        jx, jy = (U2 - off) // 2, (V2 - off) // 2
+        self.valid = (jx >= 0) & (jx < nx) & (jy >= 0) & (jy < ny)
+        self.index = np.where(self.valid, jy * nx + jx, 0)
 
+    @classmethod
+    def of(cls, H: Polarizer, grid: Grid, nodes: bool = False) -> "Reflection":
+        return cls(_reduce(H, grid), grid, nodes)
 
-def _index_reflection(red: _Reduced, nx: int, ny: int, cells: bool):
-    """Reflected (jx, jy) index arrays plus validity mask for cells or nodes."""
-    if cells:
-        ix = np.arange(nx)[None, :]
-        iy = np.arange(ny)[:, None]
-    else:
-        nx, ny = nx + 1, ny + 1
-        ix = np.arange(nx)[None, :]
-        iy = np.arange(ny)[:, None]
-    half = red.t // 2
-    if red.kind == "x":
-        jx = (red.t - 1 - ix) if cells else (red.t - ix)
-        jy = iy + 0 * ix
-        jx = jx + 0 * iy
-    elif red.kind == "y":
-        jy = (red.t - 1 - iy) if cells else (red.t - iy)
-        jx = ix + 0 * iy
-        jy = jy + 0 * ix
-    elif red.kind == "sum":
-        if cells:
-            jx = half - 1 - iy + 0 * ix
-            jy = half - 1 - ix + 0 * iy
-        else:
-            jx = half - iy + 0 * ix
-            jy = half - ix + 0 * iy
-    else:  # diff
-        jx = iy + half + 0 * ix
-        jy = ix - half + 0 * iy
-    valid = (jx >= 0) & (jx < nx) & (jy >= 0) & (jy < ny)
-    return jx, jy, valid
+    def gather(self, a: np.ndarray) -> np.ndarray:
+        """a at the image of each site; zero where the image leaves the window."""
+        out = a.ravel().take(self.index)
+        out[~self.valid] = 0
+        return out
 
+    def escapes(self, active: np.ndarray, dual: bool = False) -> bool:
+        """True iff an active site on the losing side has its image outside."""
+        src = self.in_h if dual else self.beyond
+        return bool(np.any(active & src & ~self.valid))
 
-def _cell_tables(H: Polarizer, A_grid: Grid):
-    """Reduction plus all per-cell arrays needed by the set operations."""
-    red = _reduce(H, A_grid)
-    coord = _cell_coord(red.kind, A_grid)
-    in_h = (coord > red.t) if red.greater else (coord < red.t)
-    on_line = coord == red.t
-    jx, jy, valid = _index_reflection(red, A_grid.nx, A_grid.ny, cells=True)
-    return red, in_h, on_line, jx, jy, valid
+    def exchange(self, a: np.ndarray, dual: bool = False) -> np.ndarray:
+        """Two-point exchange: max on the winning side, min on the other."""
+        ref = self.gather(a)
+        side = ~self.in_h if dual else self.in_h
+        return np.where(side, np.maximum(a, ref), np.minimum(a, ref))
 
-
-def _gather(mask: np.ndarray, jx, jy, valid) -> np.ndarray:
-    """mask value at the reflected index; False where the image leaves the window."""
-    out = np.zeros_like(mask)
-    jxc = np.clip(jx, 0, mask.shape[1] - 1)
-    jyc = np.clip(jy, 0, mask.shape[0] - 1)
-    np.copyto(out, mask[jyc, jxc], where=valid)
-    return out
+    def invariant(self, mask: np.ndarray, dual: bool = False) -> bool:
+        """True iff the exchange leaves the boolean mask unchanged: every
+        active site on the losing side has an active image in the window."""
+        src = self.in_h if dual else self.beyond
+        return not bool(np.any(mask & src & ~self.gather(mask)))
 
 
 # ---------------------------------------------------------------------------
@@ -333,25 +318,18 @@ def polarize_set(H: Polarizer, A: RasterSet) -> RasterSet:
     reflected set.  Raises OutOfBounds when an active cell would be
     rearranged outside the grid window (result not representable).
     """
-    red, in_h, on_line, jx, jy, valid = _cell_tables(H, A.grid)
-    m = A.mask
-    mref = _gather(m, jx, jy, valid)
-    strict_comp = ~in_h & ~on_line
-    if np.any(m & strict_comp & ~valid):
+    refl = Reflection.of(H, A.grid)
+    if refl.escapes(A.mask):
         raise OutOfBounds("polarization escapes the grid window")
-    out = (in_h & (m | mref)) | (m & mref)
-    return RasterSet(A.grid, out)
+    return RasterSet(A.grid, refl.exchange(A.mask))
 
 
 def dual_polarize_set(H: Polarizer, A: RasterSet) -> RasterSet:
     """Companion rearrangement pushing A into the complement of H."""
-    red, in_h, on_line, jx, jy, valid = _cell_tables(H, A.grid)
-    m = A.mask
-    mref = _gather(m, jx, jy, valid)
-    if np.any(m & in_h & ~valid):
+    refl = Reflection.of(H, A.grid)
+    if refl.escapes(A.mask, dual=True):
         raise OutOfBounds("dual polarization escapes the grid window")
-    out = (~in_h & (m | mref)) | (m & mref)
-    return RasterSet(A.grid, out)
+    return RasterSet(A.grid, refl.exchange(A.mask, dual=True))
 
 
 def is_polarization_invariant(H: Polarizer, A: RasterSet) -> bool:
@@ -360,39 +338,29 @@ def is_polarization_invariant(H: Polarizer, A: RasterSet) -> bool:
     Reflections landing outside the window count as points of sigma(A)
     that are not in A, so no escape handling is needed here.
     """
-    red, in_h, on_line, jx, jy, valid = _cell_tables(H, A.grid)
-    m = A.mask
-    mref = _gather(m, jx, jy, valid)
-    src = m & ~in_h & ~on_line  # active cells whose mirror lies in open H
-    viol = src & (~valid | ~mref)
-    return not bool(viol.any())
+    return Reflection.of(H, A.grid).invariant(A.mask)
 
 
 def is_dual_polarization_invariant(H: Polarizer, A: RasterSet) -> bool:
     """Subset test sigma(A) & H^c <= A, equivalent to dual_polarize_set(H, A) == A."""
-    red, in_h, on_line, jx, jy, valid = _cell_tables(H, A.grid)
-    m = A.mask
-    mref = _gather(m, jx, jy, valid)
-    src = m & in_h
-    viol = src & (~valid | ~mref)
-    return not bool(viol.any())
+    return Reflection.of(H, A.grid).invariant(A.mask, dual=True)
 
 
 def reflect_set(H: Polarizer, A: RasterSet) -> RasterSet:
     """Mirror image of the raster; raises OutOfBounds if it leaves the window."""
-    red, in_h, on_line, jx, jy, valid = _cell_tables(H, A.grid)
-    if np.any(A.mask & ~valid):
+    refl = Reflection.of(H, A.grid)
+    if np.any(A.mask & ~refl.valid):
         raise OutOfBounds("reflected set leaves the grid window")
-    return RasterSet(A.grid, _gather(A.mask, jx, jy, valid))
+    return RasterSet(A.grid, refl.gather(A.mask))
 
 
 def is_reflection_symmetric(H: Polarizer, A: RasterSet) -> bool:
     """True iff sigma_H(A) = A cellwise (images outside the window count)."""
-    red, in_h, on_line, jx, jy, valid = _cell_tables(H, A.grid)
+    refl = Reflection.of(H, A.grid)
     m = A.mask
-    if np.any(m & ~valid):
+    if np.any(m & ~refl.valid):
         return False
-    return bool(np.array_equal(_gather(m, jx, jy, valid), m))
+    return bool(np.array_equal(refl.gather(m), m))
 
 
 def witness_sets(H: Polarizer, omega: RasterSet) -> tuple[RasterSet, RasterSet]:
@@ -401,13 +369,13 @@ def witness_sets(H: Polarizer, omega: RasterSet) -> tuple[RasterSet, RasterSet]:
     A_H is nonempty iff the polarization moves omega; B_H is nonempty iff
     the polarization differs from the reflected set.
     """
-    red, in_h, on_line, jx, jy, valid = _cell_tables(H, omega.grid)
+    refl = Reflection.of(H, omega.grid)
     m = omega.mask
-    mref = _gather(m, jx, jy, valid)
-    if np.any(m & ~in_h & ~on_line & ~valid):
+    if refl.escapes(m):
         raise OutOfBounds("witness set A_H has members outside the grid window")
-    a_h = in_h & ~m & mref
-    b_h = in_h & m & ~mref
+    mref = refl.gather(m)
+    a_h = refl.in_h & ~m & mref
+    b_h = refl.in_h & m & ~mref
     return RasterSet(omega.grid, a_h), RasterSet(omega.grid, b_h)
 
 
@@ -430,27 +398,6 @@ def axis_polarizer(axis: str, offset: float) -> Polarizer:
     return Polarizer(_AXIS_NORMALS[axis], offset)
 
 
-def _invariant_reduced(red: _Reduced, A: RasterSet) -> bool:
-    coord = _cell_coord(red.kind, A.grid)
-    in_h = (coord > red.t) if red.greater else (coord < red.t)
-    on_line = coord == red.t
-    jx, jy, valid = _index_reflection(red, A.grid.nx, A.grid.ny, cells=True)
-    m = A.mask
-    mref = _gather(m, jx, jy, valid)
-    src = m & ~in_h & ~on_line
-    return not bool((src & (~valid | ~mref)).any())
-
-
-def _dual_invariant_reduced(red: _Reduced, A: RasterSet) -> bool:
-    coord = _cell_coord(red.kind, A.grid)
-    in_h = (coord > red.t) if red.greater else (coord < red.t)
-    jx, jy, valid = _index_reflection(red, A.grid.nx, A.grid.ny, cells=True)
-    m = A.mask
-    mref = _gather(m, jx, jy, valid)
-    src = m & in_h
-    return not bool((src & (~valid | ~mref)).any())
-
-
 def steiner_diagnostics(A: RasterSet, axis: str, offset: float):
     """(is_steiner_symmetric, violating_offset_or_None).
 
@@ -461,22 +408,18 @@ def steiner_diagnostics(A: RasterSet, axis: str, offset: float):
     """
     H0 = axis_polarizer(axis, offset)
     red0 = _reduce(H0, A.grid)
-    coord = _cell_coord(red0.kind, A.grid)
+    coord = Reflection(red0, A.grid).coord
     lo, hi = int(coord.min()) - 2, int(coord.max()) + 2
     step = 2 if red0.kind in ("sum", "diff") else 1
     start = lo + (red0.t - lo) % step
     for t in range(start, hi + 1, step):
-        red = _Reduced(red0.kind, t, red0.greater)
+        refl = Reflection(_Reduced(red0.kind, t, red0.greater), A.grid)
         # offsets on the H side of the pivot use the primal test, the other
         # side the dual test; orientation flips for 'greater' polarizers
         above = (t <= red0.t) if red0.greater else (t >= red0.t)
         below = (t >= red0.t) if red0.greater else (t <= red0.t)
-        ok = True
-        if above and not _invariant_reduced(red, A):
-            ok = False
-        if ok and below and not _dual_invariant_reduced(red, A):
-            ok = False
-        if not ok:
+        if (above and not refl.invariant(A.mask)) or \
+                (below and not refl.invariant(A.mask, dual=True)):
             return False, _offset_from_t(red0.kind, red0.greater, t, A.grid)
     return True, None
 
@@ -521,15 +464,13 @@ def is_foliated_schwarz(A: RasterSet, a, eta, pool: Sequence[Polarizer]) -> bool
             raise PoolViolation("anchor point is not on the polarizer boundary")
         if float(eta @ n) >= -1e-12:
             raise PoolViolation("axis ray is not inside the open half-space")
-        red, in_h, on_line, jx, jy, valid = _cell_tables(H, A.grid)
-        m = A.mask
-        mref = _gather(m, jx, jy, valid)
-        dual = (~in_h & (m | mref)) | (m & mref)
-        if not np.array_equal(dual, mref):
+        refl = Reflection.of(H, A.grid)
+        if not np.array_equal(refl.exchange(A.mask, dual=True),
+                              refl.gather(A.mask)):
             return False
         # reflections of active cells escaping the window on the open-H side
         # belong to sigma(A) but not to the dual polarization
-        if np.any(m & ~in_h & ~on_line & ~valid):
+        if refl.escapes(A.mask):
             return False
     return True
 
@@ -944,27 +885,20 @@ def polarize_punctured(H: Polarizer, D: PuncturedDomain) -> PuncturedDomain:
     edge-connected components carrying their source boundary labels.
     """
     grid = D.grid
-    red, in_h, on_line, jx, jy, valid = _cell_tables(H, grid)
+    refl = Reflection.of(H, grid)
     union = D.obstacle_union().mask
-    if union.any():
-        src = union & valid
-        if np.any(union & ~valid):
-            raise NotAdmissible("reflected obstacle leaves the grid window")
-        dest_ok = np.zeros_like(union)
-        jxc = np.clip(jx, 0, grid.nx - 1)
-        jyc = np.clip(jy, 0, grid.ny - 1)
-        np.copyto(dest_ok, D.outer.mask[jyc, jxc], where=valid)
-        if np.any(union & ~dest_ok):
-            raise NotAdmissible("reflected obstacle leaves the outer set")
+    if np.any(union & ~refl.valid):
+        raise NotAdmissible("reflected obstacle leaves the grid window")
+    if np.any(union & ~refl.gather(D.outer.mask)):
+        raise NotAdmissible("reflected obstacle leaves the outer set")
 
     outer_new = polarize_set(H, D.outer)
 
     labels = np.full(grid.shape, -1, dtype=np.int32)
     for k, ob in enumerate(D.obstacles):
         labels[ob.mask] = k
-    mref = _gather(union, jx, jy, valid)
-    lref = _gather(labels + 1, jx, jy, valid) - 1  # -1 stays -1 outside
-    out = (~in_h & (union | mref)) | (union & mref)
+    lref = refl.gather(labels + 1) - 1  # -1 stays -1 outside
+    out = refl.exchange(union, dual=True)
     lab_out = np.full(grid.shape, -1, dtype=np.int32)
     lab_out[out & union] = labels[out & union]
     moved = out & ~union

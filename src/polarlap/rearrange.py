@@ -13,15 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import OutOfBounds, SignedInput
-from .geometry import (
-    Grid,
-    Polarizer,
-    RasterSet,
-    _index_reflection,
-    _node_coord,
-    _reduce,
-    polarize_set,
-)
+from .geometry import Grid, Polarizer, RasterSet, Reflection, polarize_set
 
 
 @dataclass(frozen=True)
@@ -87,22 +79,11 @@ def polarize_function(H: Polarizer, u: GridFunction) -> GridFunction:
     """
     if not u.is_nonnegative():
         raise SignedInput("polarize_function requires a nonnegative function")
-    grid = u.grid
-    red = _reduce(H, grid)
-    coord = _node_coord(red.kind, grid)
-    in_h = (coord > red.t) if red.greater else (coord < red.t)
-    on_line = coord == red.t
-    jx, jy, valid = _index_reflection(red, grid.nx, grid.ny, cells=False)
-    v = u.values
-    jxc = np.clip(jx, 0, grid.nx)
-    jyc = np.clip(jy, 0, grid.ny)
-    vref = np.where(valid, v[jyc, jxc], 0.0)
-    strict_comp = ~in_h & ~on_line
-    if np.any((v > 0.0) & strict_comp & ~valid):
+    refl = Reflection.of(H, u.grid, nodes=True)
+    if refl.escapes(u.values > 0.0):
         raise OutOfBounds("function polarization escapes the grid window")
-    out = np.where(in_h, np.maximum(v, vref), np.minimum(v, vref))
-    out = np.where(on_line, v, out)
-    return GridFunction(grid, out, polarize_set(H, u.support_mask))
+    return GridFunction(u.grid, refl.exchange(u.values),
+                        polarize_set(H, u.support_mask))
 
 
 def _sorted_sum(contrib: np.ndarray) -> float:

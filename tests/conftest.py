@@ -56,6 +56,53 @@ def brute_polarize(H: Polarizer, A: RasterSet, dual: bool = False) -> np.ndarray
     return out
 
 
+def brute_escapes(H: Polarizer, grid: Grid, active: np.ndarray,
+                  nodes: bool = False, dual: bool = False) -> bool:
+    """True iff an active cell (node with nodes=True) strictly on the side
+    the rearrangement empties has a mirrored center outside the window."""
+    X, Y = grid.node_coords() if nodes else grid.cell_centers()
+    n = np.array(H.normal)
+    tol = 1e-9 * grid.spacing
+    x0, y0, x1, y1 = grid.bbox()
+    for iy, ix in zip(*np.nonzero(active)):
+        x, y = X[iy, ix], Y[iy, ix]
+        side = x * n[0] + y * n[1] - H.offset
+        if not ((side < -tol) if dual else (side > tol)):
+            continue
+        sx, sy = H.reflect((x, y))
+        if nodes:
+            inside = x0 - tol <= sx <= x1 + tol and y0 - tol <= sy <= y1 + tol
+        else:
+            inside = cell_of(grid, sx, sy) is not None
+        if not inside:
+            return True
+    return False
+
+
+def offcentre_polarizers(rng, grid: Grid) -> list[Polarizer]:
+    """One grid-compatible polarizer per compatible normal, each through a
+    random point of the window: a half-cell point for the axis normals, a
+    node for the diagonals."""
+    s = 1.0 / np.sqrt(2.0)
+    out = []
+    for normal in ((1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0),
+                   (s, s), (-s, -s), (s, -s), (-s, s)):
+        step = 1 if 0.0 in normal else 2  # half-cell units
+        kx = step * int(rng.integers(1, 2 * grid.nx // step))
+        ky = step * int(rng.integers(1, 2 * grid.ny // step))
+        x = grid.origin[0] + 0.5 * kx * grid.spacing
+        y = grid.origin[1] + 0.5 * ky * grid.spacing
+        out.append(Polarizer(normal, x * normal[0] + y * normal[1]))
+    return out
+
+
+def nonsquare_grid(rng) -> Grid:
+    nx = int(rng.integers(5, 13))
+    ny = nx + int(rng.choice([-2, -1, 1, 2, 3]))
+    return Grid((float(rng.integers(-3, 3)), 0.25 * float(rng.integers(-3, 3))),
+                0.5, nx, ny)
+
+
 def brute_reflect(H: Polarizer, A: RasterSet) -> np.ndarray:
     """Float membership of the mirrored set at each cell center."""
     X, Y = A.grid.cell_centers()

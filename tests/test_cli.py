@@ -193,6 +193,46 @@ def test_main_kind_mismatch(tmp_path, capsys):
     assert "does not match" in capsys.readouterr().err
 
 
+def _main_stderr(tmp_path, capsys, kind: str, raw: dict):
+    path = tmp_path / "c.cfg"
+    path.write_text(json.dumps(raw))
+    code = main([kind, "--config", str(path), "--out", str(tmp_path / "out")])
+    return code, capsys.readouterr().err.splitlines()
+
+
+def test_main_rotated_rectangle_rejected_at_parse(tmp_path, capsys):
+    raw = json.loads(COARSE_ROTATE_RADIAL)
+    raw["rotate"]["obstacle"] = {"type": "rectangle", "lo": [0.4, -0.1],
+                                 "hi": [0.6, 0.1], "closed": True}
+    raw["rotate"]["s_values"] = [0.5, 1.0]
+    code, err = _main_stderr(tmp_path, capsys, "rotate-sweep", raw)
+    assert code == 1
+    assert len(err) == 1
+    assert err[0].startswith("error: ValidationError: rotate.s_values: Rectangle")
+
+
+def test_main_annulus_eccentricity_rejected_at_parse(tmp_path, capsys):
+    raw = {"kind": "annulus-study",
+           "grid": {"origin": [-1.0625, -1.0625], "spacing": 0.03125,
+                    "nx": 68, "ny": 68},
+           "annulus": {"outer_radius": 1.0, "hole_radius": 0.25,
+                       "eccentricity": 0.9, "obstacle_radius": 0.1}}
+    code, err = _main_stderr(tmp_path, capsys, "annulus-study", raw)
+    assert code == 1
+    assert err == ["error: ValidationError: annulus: need 0 < r < R, "
+                   "0 <= alpha < R - r, rho > 0"]
+
+
+def test_main_no_free_nodes_exit_2(tmp_path, capsys):
+    raw = json.loads(MINIMAL_SOLVE)
+    raw["grid"] = {"origin": [0.0, 0.0], "spacing": 0.25, "nx": 4, "ny": 4}
+    raw["domain"]["outer"] = {"type": "rectangle", "lo": [0.25, 0.25],
+                              "hi": [0.5, 0.5]}  # one open cell, no free node
+    code, err = _main_stderr(tmp_path, capsys, "solve", raw)
+    assert code == 2
+    assert err == ["error: NoFreeNodes: mesh has no free nodes"]
+
+
 def test_main_solve_with_overrides(tmp_path):
     path = tmp_path / "c.cfg"
     path.write_text(MINIMAL_SOLVE)

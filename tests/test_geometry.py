@@ -45,9 +45,12 @@ from polarlap.geometry import (
 )
 
 from conftest import (
+    brute_escapes,
     brute_polarize,
     brute_reflect,
     centered_grid,
+    nonsquare_grid,
+    offcentre_polarizers,
     random_connected_raster,
     random_raster,
     unit_grid,
@@ -130,6 +133,18 @@ def test_polarize_matches_bruteforce_pool(seed):
         assert np.array_equal(polarize_set(H, A).mask, brute_polarize(H, A))
         assert np.array_equal(dual_polarize_set(H, A).mask,
                               brute_polarize(H, A, dual=True))
+    # off-centre lines for all eight normals on a non-square grid
+    g2 = nonsquare_grid(rng)
+    B = random_raster(rng, g2, float(rng.uniform(0.2, 0.7)), margin=2)
+    for H in offcentre_polarizers(rng, g2):
+        for dual, op in ((False, polarize_set), (True, dual_polarize_set)):
+            try:
+                got = op(H, B).mask
+            except OutOfBounds:
+                assert brute_escapes(H, g2, B.mask, dual=dual)
+            else:
+                assert not brute_escapes(H, g2, B.mask, dual=dual)
+                assert np.array_equal(got, brute_polarize(H, B, dual=dual))
 
 
 def test_incompatible_polarizer_rejected():

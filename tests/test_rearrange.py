@@ -25,7 +25,14 @@ from polarlap.rearrange import (
     support_set,
 )
 
-from conftest import unit_grid
+from conftest import (
+    brute_escapes,
+    brute_polarize,
+    nonsquare_grid,
+    offcentre_polarizers,
+    random_raster,
+    unit_grid,
+)
 
 
 def _node_reflect_oracle(H, grid):
@@ -93,12 +100,40 @@ def test_polarize_symmetric_function_unchanged(rng):
     assert np.array_equal(polarize_function(H, u).values, v)
 
 
-def test_polarize_function_matches_bruteforce(rng):
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_polarize_function_matches_bruteforce(seed):
+    rng = np.random.default_rng(seed)
     g = unit_grid(16)
     u = _random_fn(rng, g)
     for H in default_polarizer_pool(g):
         pu = polarize_function(H, u)
         assert np.array_equal(pu.values, brute_polarize_function(H, u))
+    # off-centre lines for all eight normals on a non-square grid, with a
+    # sparse function on a support that keeps clear of the window edge
+    g2 = nonsquare_grid(rng)
+    support = random_raster(rng, g2, float(rng.uniform(0.3, 0.8)), margin=2)
+    near = node_weights(support) > 0
+    v = np.where(near & (rng.random(g2.node_shape) < 0.6),
+                 rng.random(g2.node_shape), 0.0)
+    u2 = GridFunction(g2, v, support)
+    for H in offcentre_polarizers(rng, g2):
+        try:
+            pu = polarize_function(H, u2)
+        except OutOfBounds:
+            assert (brute_escapes(H, g2, v > 0.0, nodes=True)
+                    or brute_escapes(H, g2, support.mask))
+        except ValueError:
+            # GridFunction rejects the result: an exchanged value is positive
+            # at a node that touches no cell of the polarized support
+            pol = RasterSet(g2, brute_polarize(H, support))
+            assert np.any((brute_polarize_function(H, u2) > 0.0)
+                          & (node_weights(pol) == 0.0))
+        else:
+            assert not brute_escapes(H, g2, v > 0.0, nodes=True)
+            assert np.array_equal(pu.values, brute_polarize_function(H, u2))
+            assert np.array_equal(pu.support_mask.mask,
+                                  brute_polarize(H, support))
 
 
 def test_polarize_function_rejects_signed(rng):
