@@ -13,11 +13,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
-from dataclasses import dataclass, replace
+from contextlib import contextmanager
+from dataclasses import MISSING, dataclass, fields, is_dataclass, replace
+from functools import cache
 from pathlib import Path
-from typing import Optional
+from typing import Literal, Optional, Union, get_args, get_origin, get_type_hints
 
 from .errors import (
     AssumptionViolated,
@@ -53,22 +56,32 @@ from .discretize import triangulate
 from . import experiments as xp
 from . import formats
 
-KINDS = ("solve", "fk-check", "translate-sweep", "rotate-sweep",
-         "annulus-study", "symmetry-check")
+# each scenario kind and the config sections it requires
+KINDS = {
+    "solve": ("domain",),
+    "fk-check": ("domain", "polarizer"),
+    "translate-sweep": ("translate",),
+    "rotate-sweep": ("rotate",),
+    "annulus-study": ("annulus",),
+    "symmetry-check": ("domain", "symmetry"),
+}
 
 
 # ---------------------------------------------------------------------------
 # scenario configuration
 # ---------------------------------------------------------------------------
 
+BC = Literal[DIRICHLET, NEUMANN]
+Pair = tuple[float, float]
+
 
 @dataclass(frozen=True)
 class DomainSpec:
     outer: ShapeSpec
-    obstacles: tuple = ()
-    bc_outer: str = DIRICHLET
-    bc_inner: str = DIRICHLET
-    bc_obstacles: Optional[tuple] = None
+    obstacles: tuple[ShapeSpec, ...] = ()
+    bc_outer: BC = DIRICHLET
+    bc_inner: BC = DIRICHLET
+    bc_obstacles: Optional[tuple[BC, ...]] = None
     allow_pure_neumann: bool = False
 
     def build(self, grid: Grid) -> PuncturedDomain:
@@ -84,11 +97,11 @@ class DomainSpec:
 class TranslateSpec:
     outer: ShapeSpec
     obstacle: ShapeSpec
-    direction: tuple
-    s_values: tuple
-    bc_outer: str = DIRICHLET
-    bc_obstacle: str = DIRICHLET
-    fixed_holes: tuple = ()
+    direction: Pair
+    s_values: tuple[float, ...]
+    bc_outer: BC = DIRICHLET
+    bc_obstacle: BC = DIRICHLET
+    fixed_holes: tuple[ShapeSpec, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -96,9 +109,9 @@ class RotateSpec:
     variant: str
     outer: ShapeSpec
     obstacle: ShapeSpec
-    anchor: tuple
-    axis: tuple
-    s_values: tuple
+    anchor: Pair
+    axis: Pair
+    s_values: tuple[float, ...]
     fixed_hole: Optional[ShapeSpec] = None
 
 
@@ -110,13 +123,13 @@ class AnnulusSpec:
     obstacle_radius: float
     step_cells: int = 1
     line_offset: Optional[float] = None
-    circles: tuple = ()
+    circles: tuple[Pair, ...] = ()
 
 
 @dataclass(frozen=True)
 class SymmetrySpec:
-    anchor: tuple
-    axis: tuple
+    anchor: Pair
+    axis: Pair
 
 
 @dataclass(frozen=True)
@@ -134,126 +147,107 @@ class ScenarioConfig:
 
     def __post_init__(self):
         if self.kind not in KINDS:
-            raise ValidationError(f"kind must be one of {KINDS}", field="kind")
-        need = {
-            "solve": ("domain",),
-            "fk-check": ("domain", "polarizer"),
-            "translate-sweep": ("translate",),
-            "rotate-sweep": ("rotate",),
-            "annulus-study": ("annulus",),
-            "symmetry-check": ("domain", "symmetry"),
-        }[self.kind]
-        for name in need:
+            raise ValidationError(f"kind must be one of {tuple(KINDS)}",
+                                  field="kind")
+        for name in KINDS[self.kind]:
             if getattr(self, name) is None:
                 raise ValidationError(
                     f"kind {self.kind!r} requires the {name!r} section", field=name)
 
 
 # -- JSON <-> dataclass ------------------------------------------------------
+#
+# The dataclasses above (and Grid, SolverConfig, Polarizer and the shapes) are
+# the schema: a JSON key is a field name, a field without a default is
+# required, and the field's annotation picks how its value is read.
+
+_SHAPES = {"disk": Disk, "rectangle": Rectangle, "rhombus": Rhombus,
+           "ellipse": Ellipse, "union": UnionShape}
+_SHAPE_TAGS = {cls: tag for tag, cls in _SHAPES.items()}
+_type_hints = cache(get_type_hints)   # resolving string annotations is slow
+
+# scalar annotation -> (does the JSON value qualify?, what is expected);
+# a qualifying value converts by calling the annotation on it
+_SCALARS = {
+    float: (lambda v: type(v) in (int, float) and math.isfinite(v),
+            "a finite number"),
+    int: (lambda v: type(v) is int or type(v) is float and v.is_integer(),
+          "an integer"),
+    bool: (lambda v: type(v) is bool, "true or false"),
+    str: (lambda v: type(v) is str, "a string"),
+}
 
 
-def _take(d: dict, allowed: set, where: str) -> None:
-    if not isinstance(d, dict):
-        raise ValidationError(f"{where} must be an object", field=where)
-    unknown = set(d) - allowed
-    if unknown:
+@contextmanager
+def _invalid(where: str):
+    """Report a bad value or type raised in the block against where."""
+    try:
+        yield
+    except (ValueError, TypeError, OverflowError) as exc:
+        raise ValidationError(f"{where}: {exc}", field=where) from exc
+
+
+def _expect(ok: bool, what: str, v) -> None:
+    if not ok:
+        raise TypeError(f"expected {what}, got {json.dumps(v)}")
+
+
+def _decode(tp, v, where: str):
+    """Read the JSON value v as the annotation tp; errors name where."""
+    origin, args = get_origin(tp), get_args(tp)
+    with _invalid(where):
+        if origin is Union and args[-1] is type(None):         # Optional[X]
+            return None if v is None else _decode(Union[args[:-1]], v, where)
+        if origin is tuple:
+            _expect(type(v) is list, "a list", v)
+            types = args[:1] * len(v) if args[-1] is Ellipsis else args
+            _expect(len(v) == len(types), f"a list of {len(types)}", v)
+            return tuple(_decode(t, x, f"{where}[{i}]")
+                         for i, (t, x) in enumerate(zip(types, v)))
+        if origin is Literal:
+            _expect(v in args, " or ".join(map(json.dumps, args)), v)
+            return v
+        if tp in _SCALARS:
+            qualifies, what = _SCALARS[tp]
+            _expect(qualifies(v), what, v)
+            return tp(v)
+        _expect(type(v) is dict, "an object", v)
+        return _decode_object(tp, v, where)
+
+
+def _decode_object(cls, d: dict, where: str):
+    """Build the dataclass cls from the JSON object d; for ShapeSpec, the
+    shape that d["type"] names."""
+    if get_origin(cls) is Union:
+        if "type" not in d:
+            raise ValidationError(f"missing {where}.type", field=f"{where}.type")
+        cls = _SHAPES[_decode(Literal[tuple(_SHAPES)], d["type"], f"{where}.type")]
+        d = {k: v for k, v in d.items() if k != "type"}
+    if unknown := set(d) - {f.name for f in fields(cls)}:
         raise ValidationError(
             f"unknown key(s) {sorted(unknown)} in {where}", field=where)
+    hints, kwargs = _type_hints(cls), {}
+    for f in fields(cls):
+        if f.name in d:
+            at = f"{where}.{f.name}".removeprefix("config.")
+            kwargs[f.name] = _decode(hints[f.name], d[f.name], at)
+        elif f.default is MISSING and f.default_factory is MISSING:
+            raise ValidationError(f"missing {where}.{f.name}",
+                                  field=f"{where}.{f.name}")
+    return cls(**kwargs)
 
 
-def _req(d: dict, key: str, where: str):
-    if key not in d:
-        raise ValidationError(f"missing {where}.{key}", field=f"{where}.{key}")
-    return d[key]
-
-
-def _pair(v, where: str) -> tuple:
-    if not (isinstance(v, (list, tuple)) and len(v) == 2):
-        raise ValidationError(f"{where} must be a pair of numbers", field=where)
-    return (float(v[0]), float(v[1]))
-
-
-def _bc(v, where: str) -> str:
-    if v not in (DIRICHLET, NEUMANN):
-        raise ValidationError(f"{where} must be 'dirichlet' or 'neumann'",
-                              field=where)
-    return v
-
-
-def shape_from_dict(d: dict, where: str = "shape") -> ShapeSpec:
-    _take(d, {"type", "center", "radius", "lo", "hi", "half_diagonal",
-              "semi_axes", "angle", "closed", "members"}, where)
-    kind = _req(d, "type", where)
-    closed = bool(d.get("closed", False))
-    try:
-        if kind == "disk":
-            return Disk(_pair(_req(d, "center", where), f"{where}.center"),
-                        float(_req(d, "radius", where)), closed)
-        if kind == "rectangle":
-            return Rectangle(_pair(_req(d, "lo", where), f"{where}.lo"),
-                             _pair(_req(d, "hi", where), f"{where}.hi"), closed)
-        if kind == "rhombus":
-            return Rhombus(_pair(_req(d, "center", where), f"{where}.center"),
-                           float(_req(d, "half_diagonal", where)), closed)
-        if kind == "ellipse":
-            return Ellipse(_pair(_req(d, "center", where), f"{where}.center"),
-                           _pair(_req(d, "semi_axes", where), f"{where}.semi_axes"),
-                           float(d.get("angle", 0.0)), closed)
-        if kind == "union":
-            members = _req(d, "members", where)
-            return UnionShape(tuple(shape_from_dict(m, f"{where}.members[{i}]")
-                                    for i, m in enumerate(members)))
-    except ValueError as exc:
-        raise ValidationError(f"{where}: {exc}", field=where) from exc
-    raise ValidationError(f"{where}.type {kind!r} is not a known shape",
-                          field=f"{where}.type")
-
-
-def shape_to_dict(shape: ShapeSpec) -> dict:
-    if isinstance(shape, Disk):
-        return {"type": "disk", "center": list(shape.center),
-                "radius": shape.radius, "closed": shape.closed}
-    if isinstance(shape, Rectangle):
-        return {"type": "rectangle", "lo": list(shape.lo), "hi": list(shape.hi),
-                "closed": shape.closed}
-    if isinstance(shape, Rhombus):
-        return {"type": "rhombus", "center": list(shape.center),
-                "half_diagonal": shape.half_diagonal, "closed": shape.closed}
-    if isinstance(shape, Ellipse):
-        return {"type": "ellipse", "center": list(shape.center),
-                "semi_axes": list(shape.semi_axes), "angle": shape.angle,
-                "closed": shape.closed}
-    if isinstance(shape, UnionShape):
-        return {"type": "union",
-                "members": [shape_to_dict(m) for m in shape.members]}
-    raise TypeError(f"unknown shape {type(shape).__name__}")
-
-
-def _domain_from_dict(d: dict) -> DomainSpec:
-    _take(d, {"outer", "obstacles", "bc_outer", "bc_inner", "bc_obstacles",
-              "allow_pure_neumann"}, "domain")
-    obstacles = tuple(shape_from_dict(ob, f"domain.obstacles[{i}]")
-                      for i, ob in enumerate(d.get("obstacles", [])))
-    bc_obs = d.get("bc_obstacles")
-    if bc_obs is not None:
-        bc_obs = tuple(_bc(b, f"domain.bc_obstacles[{i}]")
-                       for i, b in enumerate(bc_obs))
-    return DomainSpec(
-        shape_from_dict(_req(d, "outer", "domain"), "domain.outer"),
-        obstacles,
-        _bc(d.get("bc_outer", DIRICHLET), "domain.bc_outer"),
-        _bc(d.get("bc_inner", DIRICHLET), "domain.bc_inner"),
-        bc_obs,
-        bool(d.get("allow_pure_neumann", False)))
-
-
-def _domain_to_dict(spec: DomainSpec) -> dict:
-    out = {"outer": shape_to_dict(spec.outer),
-           "obstacles": [shape_to_dict(ob) for ob in spec.obstacles],
-           "bc_outer": spec.bc_outer, "bc_inner": spec.bc_inner,
-           "allow_pure_neumann": spec.allow_pure_neumann}
-    if spec.bc_obstacles is not None:
-        out["bc_obstacles"] = list(spec.bc_obstacles)
+def _encode(v):
+    """JSON value of a decoded one: tuples as lists, None fields dropped,
+    shapes tagged with their "type"."""
+    if isinstance(v, tuple):
+        return [_encode(x) for x in v]
+    if not is_dataclass(v):
+        return v
+    out = {f.name: _encode(getattr(v, f.name)) for f in fields(v)
+           if getattr(v, f.name) is not None}
+    if type(v) in _SHAPE_TAGS:
+        out["type"] = _SHAPE_TAGS[type(v)]
     return out
 
 
@@ -263,163 +257,29 @@ def parse_config(text: str) -> ScenarioConfig:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"line {exc.lineno}: {exc.msg}", line=exc.lineno) from exc
-    _take(raw, {"kind", "grid", "solver", "output", "domain", "polarizer",
-                "translate", "rotate", "annulus", "symmetry"}, "config")
-    kind = _req(raw, "kind", "config")
-
-    gd = _req(raw, "grid", "config")
-    _take(gd, {"origin", "spacing", "nx", "ny"}, "grid")
-    for key in ("origin", "spacing", "nx", "ny"):
-        _req(gd, key, "grid")
-    try:
-        grid = Grid(_pair(gd["origin"], "grid.origin"), float(gd["spacing"]),
-                    int(gd["nx"]), int(gd["ny"]))
-    except ValueError as exc:
-        raise ValidationError(f"grid: {exc}", field="grid") from exc
-
-    sd = raw.get("solver", {})
-    _take(sd, {"p", "outer_tol", "inner_tol", "max_outer", "max_inner",
-               "smoothing_eps"}, "solver")
-    base = SolverConfig()
-    try:
-        solver = SolverConfig(
-            float(sd.get("p", base.p)),
-            float(sd.get("outer_tol", base.outer_tol)),
-            float(sd.get("inner_tol", base.inner_tol)),
-            int(sd.get("max_outer", base.max_outer)),
-            int(sd.get("max_inner", base.max_inner)),
-            float(sd.get("smoothing_eps", base.smoothing_eps)))
-    except ValueError as exc:
-        raise ValidationError(f"solver: {exc}", field="solver") from exc
-
-    domain = polarizer = translate = rotate = annulus = symmetry = None
-    if "domain" in raw:
-        domain = _domain_from_dict(raw["domain"])
-    if "polarizer" in raw:
-        pd = raw["polarizer"]
-        _take(pd, {"normal", "offset"}, "polarizer")
-        try:
-            polarizer = Polarizer(_pair(_req(pd, "normal", "polarizer"),
-                                        "polarizer.normal"),
-                                  float(_req(pd, "offset", "polarizer")))
-        except ValueError as exc:
-            raise ValidationError(f"polarizer: {exc}", field="polarizer") from exc
-    if "translate" in raw:
-        td = raw["translate"]
-        _take(td, {"outer", "obstacle", "direction", "s_values", "bc_outer",
-                   "bc_obstacle", "fixed_holes"}, "translate")
-        translate = TranslateSpec(
-            shape_from_dict(_req(td, "outer", "translate"), "translate.outer"),
-            shape_from_dict(_req(td, "obstacle", "translate"), "translate.obstacle"),
-            _pair(_req(td, "direction", "translate"), "translate.direction"),
-            tuple(float(s) for s in _req(td, "s_values", "translate")),
-            _bc(td.get("bc_outer", DIRICHLET), "translate.bc_outer"),
-            _bc(td.get("bc_obstacle", DIRICHLET), "translate.bc_obstacle"),
-            tuple(shape_from_dict(fh, f"translate.fixed_holes[{i}]")
-                  for i, fh in enumerate(td.get("fixed_holes", []))))
-    if "rotate" in raw:
-        rd = raw["rotate"]
-        _take(rd, {"variant", "outer", "fixed_hole", "obstacle", "anchor",
-                   "axis", "s_values"}, "rotate")
-        fixed = rd.get("fixed_hole")
-        rotate = RotateSpec(
-            str(_req(rd, "variant", "rotate")),
-            shape_from_dict(_req(rd, "outer", "rotate"), "rotate.outer"),
-            shape_from_dict(_req(rd, "obstacle", "rotate"), "rotate.obstacle"),
-            _pair(_req(rd, "anchor", "rotate"), "rotate.anchor"),
-            _pair(_req(rd, "axis", "rotate"), "rotate.axis"),
-            tuple(float(s) for s in _req(rd, "s_values", "rotate")),
-            shape_from_dict(fixed, "rotate.fixed_hole") if fixed is not None else None)
-        try:
-            for s in rotate.s_values:
-                rotated_obstacle(rotate.obstacle, rotate.anchor, rotate.axis, s)
-        except ValueError as exc:
-            raise ValidationError(f"rotate.s_values: {exc}",
-                                  field="rotate.s_values") from exc
-    if "annulus" in raw:
-        ad = raw["annulus"]
-        _take(ad, {"outer_radius", "hole_radius", "eccentricity",
-                   "obstacle_radius", "step_cells", "line_offset", "circles"},
-              "annulus")
-        circles = tuple(tuple(_pair(c, f"annulus.circles[{i}]"))
-                        for i, c in enumerate(ad.get("circles", [])))
-        lof = ad.get("line_offset")
-        annulus = AnnulusSpec(
-            float(_req(ad, "outer_radius", "annulus")),
-            float(_req(ad, "hole_radius", "annulus")),
-            float(_req(ad, "eccentricity", "annulus")),
-            float(_req(ad, "obstacle_radius", "annulus")),
-            int(ad.get("step_cells", 1)),
-            float(lof) if lof is not None else None,
-            circles)
-        try:
-            xp.check_annulus(annulus.outer_radius, annulus.hole_radius,
-                             annulus.eccentricity, annulus.obstacle_radius)
-        except ValueError as exc:
-            raise ValidationError(f"annulus: {exc}", field="annulus") from exc
-    if "symmetry" in raw:
-        yd = raw["symmetry"]
-        _take(yd, {"anchor", "axis"}, "symmetry")
-        symmetry = SymmetrySpec(_pair(_req(yd, "anchor", "symmetry"),
-                                      "symmetry.anchor"),
-                                _pair(_req(yd, "axis", "symmetry"),
-                                      "symmetry.axis"))
-
-    return ScenarioConfig(kind, grid, solver, raw.get("output"), domain,
-                          polarizer, translate, rotate, annulus, symmetry)
+    cfg = _decode(ScenarioConfig, raw, "config")
+    # rules the runners enforce, checked here so they fail before any solve
+    if (t := cfg.translate) is not None:
+        with _invalid("translate.direction"):
+            xp.check_unit(t.direction, "translation direction")
+    if (r := cfg.rotate) is not None:
+        with _invalid("rotate.variant"):
+            xp.check_variant(r.variant)
+        with _invalid("rotate.axis"):
+            xp.check_unit(r.axis, "axis direction")
+        with _invalid("rotate.s_values"):
+            for s in r.s_values:
+                rotated_obstacle(r.obstacle, r.anchor, r.axis, s)
+    if (a := cfg.annulus) is not None:
+        with _invalid("annulus"):
+            xp.check_annulus(a.outer_radius, a.hole_radius, a.eccentricity,
+                             a.obstacle_radius, a.step_cells)
+    return cfg
 
 
 def emit_config(cfg: ScenarioConfig) -> str:
     """Canonical JSON text; parse_config(emit_config(c)) == c."""
-    out: dict = {
-        "kind": cfg.kind,
-        "grid": {"origin": list(cfg.grid.origin), "spacing": cfg.grid.spacing,
-                 "nx": cfg.grid.nx, "ny": cfg.grid.ny},
-        "solver": {"p": cfg.solver.p, "outer_tol": cfg.solver.outer_tol,
-                   "inner_tol": cfg.solver.inner_tol,
-                   "max_outer": cfg.solver.max_outer,
-                   "max_inner": cfg.solver.max_inner,
-                   "smoothing_eps": cfg.solver.smoothing_eps},
-    }
-    if cfg.output is not None:
-        out["output"] = cfg.output
-    if cfg.domain is not None:
-        out["domain"] = _domain_to_dict(cfg.domain)
-    if cfg.polarizer is not None:
-        out["polarizer"] = {"normal": list(cfg.polarizer.normal),
-                            "offset": cfg.polarizer.offset}
-    if cfg.translate is not None:
-        t = cfg.translate
-        out["translate"] = {"outer": shape_to_dict(t.outer),
-                            "obstacle": shape_to_dict(t.obstacle),
-                            "direction": list(t.direction),
-                            "s_values": list(t.s_values),
-                            "bc_outer": t.bc_outer,
-                            "bc_obstacle": t.bc_obstacle,
-                            "fixed_holes": [shape_to_dict(fh)
-                                            for fh in t.fixed_holes]}
-    if cfg.rotate is not None:
-        r = cfg.rotate
-        out["rotate"] = {"variant": r.variant, "outer": shape_to_dict(r.outer),
-                         "obstacle": shape_to_dict(r.obstacle),
-                         "anchor": list(r.anchor), "axis": list(r.axis),
-                         "s_values": list(r.s_values)}
-        if r.fixed_hole is not None:
-            out["rotate"]["fixed_hole"] = shape_to_dict(r.fixed_hole)
-    if cfg.annulus is not None:
-        a = cfg.annulus
-        out["annulus"] = {"outer_radius": a.outer_radius,
-                          "hole_radius": a.hole_radius,
-                          "eccentricity": a.eccentricity,
-                          "obstacle_radius": a.obstacle_radius,
-                          "step_cells": a.step_cells,
-                          "circles": [list(c) for c in a.circles]}
-        if a.line_offset is not None:
-            out["annulus"]["line_offset"] = a.line_offset
-    if cfg.symmetry is not None:
-        out["symmetry"] = {"anchor": list(cfg.symmetry.anchor),
-                           "axis": list(cfg.symmetry.axis)}
-    return formats.dumps_json(out)
+    return formats.dumps_json(_encode(cfg))
 
 
 # ---------------------------------------------------------------------------
@@ -557,15 +417,17 @@ def _dispatch(cfg: ScenarioConfig, out: Path) -> bool:
 
 
 def _apply_overrides(cfg: ScenarioConfig, args) -> ScenarioConfig:
-    solver = cfg.solver
-    grid = cfg.grid
+    solver, grid = cfg.solver, cfg.grid
     if args.p is not None:
-        solver = replace(solver, p=args.p)
+        with _invalid("--p"):
+            solver = replace(solver, p=args.p)
     if args.grid_n is not None:
         n = args.grid_n
-        # preserve the covered box: rescale the spacing with the cell count
-        spacing = grid.spacing * grid.nx / n
-        grid = Grid(grid.origin, spacing, n, n)
+        # preserve the covered box: rescale the spacing with the cell count;
+        # the inner replace rejects n < 2 before the division
+        with _invalid("--grid-n"):
+            grid = replace(replace(grid, nx=n, ny=n),
+                           spacing=grid.spacing * grid.nx / n)
     return replace(cfg, solver=solver, grid=grid)
 
 

@@ -198,6 +198,12 @@ def _with_p(cfg: Optional[SolverConfig], p: float) -> SolverConfig:
 # ---------------------------------------------------------------------------
 
 
+def check_unit(v, name: str) -> None:
+    """Raise ValueError unless the direction v has unit length (within 1e-9)."""
+    if abs(float(np.hypot(*np.asarray(v, dtype=float))) - 1.0) > 1e-9:
+        raise ValueError(f"{name} must be a unit vector")
+
+
 def _axis_of(h) -> str:
     hx, hy = float(h[0]), float(h[1])
     for name, (nx_, ny_) in _AXIS_NORMALS.items():
@@ -222,9 +228,8 @@ def translate_sweep(outer_shape: ShapeSpec, obstacle_shape: ShapeSpec, h,
     dropped with a note.
     """
     cfg = _with_p(cfg, p)
+    check_unit(h, "translation direction")
     h = np.asarray(h, dtype=float)
-    if abs(float(np.hypot(*h)) - 1.0) > 1e-9:
-        raise ValueError("translation direction must be a unit vector")
     axis = _axis_of(h)
     outer = rasterize(outer_shape, grid)
     holes = tuple(rasterize(sp, grid) for sp in fixed_holes)
@@ -304,6 +309,12 @@ NEUMANN_INNER = "neumann-inner"   # fixed Neumann ball hole at the anchor
 NEUMANN_OUTER = "neumann-outer"   # Neumann outer ball about the anchor
 
 
+def check_variant(variant: str) -> None:
+    """Raise ValueError unless variant names a rotation-sweep variant."""
+    if variant not in (NEUMANN_INNER, NEUMANN_OUTER):
+        raise ValueError(f"unknown variant {variant!r}")
+
+
 def rotate_sweep(variant: str, outer_shape: ShapeSpec,
                  fixed_hole: Optional[ShapeSpec], obstacle_shape: ShapeSpec,
                  a, eta, s_values: Sequence[float], p: float, grid: Grid,
@@ -317,11 +328,9 @@ def rotate_sweep(variant: str, outer_shape: ShapeSpec,
     """
     cfg = _with_p(cfg, p)
     a = np.asarray(a, dtype=float)
+    check_unit(eta, "axis direction")
+    check_variant(variant)
     eta = np.asarray(eta, dtype=float)
-    if abs(float(np.hypot(*eta)) - 1.0) > 1e-9:
-        raise ValueError("axis direction must be a unit vector")
-    if variant not in (NEUMANN_INNER, NEUMANN_OUTER):
-        raise ValueError(f"unknown variant {variant!r}")
     if variant == NEUMANN_OUTER:
         if not isinstance(outer_shape, Disk) or \
                 math.hypot(outer_shape.center[0] - a[0],
@@ -448,10 +457,14 @@ def _feasible_obstacle(outer, hole, grid, center, rho):
         return None
 
 
-def check_annulus(R: float, r: float, alpha: float, rho: float) -> None:
-    """Raise ValueError unless the hole and the obstacle fit the annulus."""
+def check_annulus(R: float, r: float, alpha: float, rho: float,
+                  step_cells: int) -> None:
+    """Raise ValueError unless the hole and the obstacle fit the annulus and
+    the placements are sampled at least one cell apart."""
     if not (0 < r < R and 0 <= alpha < R - r and rho > 0):
         raise ValueError("need 0 < r < R, 0 <= alpha < R - r, rho > 0")
+    if step_cells < 1:
+        raise ValueError(f"step_cells must be at least 1, got {step_cells}")
 
 
 def annulus_study(R: float, r: float, alpha: float, rho: float, p: float,
@@ -466,7 +479,7 @@ def annulus_study(R: float, r: float, alpha: float, rho: float, p: float,
     parallel-line sweep for the increasing-through-center claim, same-circle
     ordering checks, and a unimodality report for the right branch.
     """
-    check_annulus(R, r, alpha, rho)
+    check_annulus(R, r, alpha, rho, step_cells)
     cfg = _with_p(cfg, p)
     d = grid.spacing
     outer = rasterize(Disk((0.0, 0.0), R), grid)

@@ -616,7 +616,7 @@ class Ellipse:
 
 @dataclass(frozen=True)
 class UnionShape:
-    members: tuple
+    members: tuple[ShapeSpec, ...]
 
     def __post_init__(self):
         object.__setattr__(self, "members", tuple(self.members))

@@ -59,6 +59,34 @@ COARSE_ROTATE_RADIAL = """
 }
 """
 
+# every optional field that the configs above and the shipped ones leave out
+ALL_FIELDS = """
+{
+  "kind": "translate-sweep",
+  "grid": {"origin": [-1.0, -1.0], "spacing": 0.0625, "nx": 32, "ny": 32},
+  "solver": {"p": 3.0, "max_outer": 300.0},
+  "output": "out_all_fields",
+  "domain": {
+    "outer": {"type": "union", "members": [
+      {"type": "rhombus", "center": [0.0, 0.0], "half_diagonal": 0.3, "closed": true},
+      {"type": "ellipse", "center": [0.25, 0.0], "semi_axes": [0.5, 0.25], "angle": 0.5}]},
+    "obstacles": [{"type": "disk", "center": [0.1875, 0.0], "radius": 0.0625}],
+    "bc_outer": "neumann",
+    "bc_obstacles": ["dirichlet"],
+    "allow_pure_neumann": true
+  },
+  "translate": {
+    "outer": {"type": "disk", "center": [0.0, 0.0], "radius": 0.75},
+    "obstacle": {"type": "disk", "center": [0.0, 0.0], "radius": 0.125, "closed": true},
+    "direction": [0.0, 1.0],
+    "s_values": [0.0, 0.125],
+    "bc_obstacle": "neumann",
+    "fixed_holes": [{"type": "rectangle", "lo": [-0.5, -0.125], "hi": [-0.375, 0.125],
+                     "closed": true}]
+  }
+}
+"""
+
 
 # ---------------------------------------------------------------------------
 # parsing and validation
@@ -117,7 +145,7 @@ def test_shipped_configs_round_trip(name):
 
 
 def test_round_trip_all_sections():
-    for raw in (MINIMAL_SOLVE, COARSE_TRANSLATE, COARSE_ROTATE_RADIAL):
+    for raw in (MINIMAL_SOLVE, COARSE_TRANSLATE, COARSE_ROTATE_RADIAL, ALL_FIELDS):
         cfg = parse_config(raw)
         assert parse_config(emit_config(cfg)) == cfg
 
@@ -193,10 +221,11 @@ def test_main_kind_mismatch(tmp_path, capsys):
     assert "does not match" in capsys.readouterr().err
 
 
-def _main_stderr(tmp_path, capsys, kind: str, raw: dict):
+def _main_stderr(tmp_path, capsys, kind: str, raw: dict, *args: str):
     path = tmp_path / "c.cfg"
     path.write_text(json.dumps(raw))
-    code = main([kind, "--config", str(path), "--out", str(tmp_path / "out")])
+    code = main([kind, "--config", str(path), "--out", str(tmp_path / "out"),
+                 *args])
     return code, capsys.readouterr().err.splitlines()
 
 
@@ -221,6 +250,64 @@ def test_main_annulus_eccentricity_rejected_at_parse(tmp_path, capsys):
     assert code == 1
     assert err == ["error: ValidationError: annulus: need 0 < r < R, "
                    "0 <= alpha < R - r, rho > 0"]
+
+
+MALFORMED_BASES = {
+    "solve": MINIMAL_SOLVE,
+    "translate": COARSE_TRANSLATE,
+    "rotate": COARSE_ROTATE_RADIAL,
+    "annulus": (CONFIG_DIR / "annulus_study.cfg").read_text(),
+    "symmetry": (CONFIG_DIR / "symmetry_check_annulus.cfg").read_text(),
+}
+
+
+@pytest.mark.parametrize("base, path, value, field", [
+    ("translate", "translate.direction", ["a", 0], "translate.direction"),
+    ("translate", "translate.direction", [1.0, 1.0], "translate.direction"),
+    ("translate", "translate.s_values", 5, "translate.s_values"),
+    ("translate", "translate.s_values", ["x"], "translate.s_values"),
+    ("translate", "translate.fixed_holes", 3, "translate.fixed_holes"),
+    ("solve", "domain.obstacles",
+     [{"type": "disk", "center": [None, 0], "radius": 0.1}],
+     "domain.obstacles[0].center"),
+    ("solve", "domain.obstacles", 7, "domain.obstacles"),
+    ("solve", "domain.bc_obstacles", 7, "domain.bc_obstacles"),
+    ("solve", "domain.outer", {"type": "union", "members": 5},
+     "domain.outer.members"),
+    ("solve", "domain.outer.closed", "false", "domain.outer.closed"),
+    ("annulus", "annulus.step_cells", "x", "annulus.step_cells"),
+    ("annulus", "annulus.step_cells", 0, "step_cells"),
+    ("annulus", "annulus.step_cells", -1, "step_cells"),
+    ("annulus", "annulus.circles", [[1, "a"]], "annulus.circles"),
+    ("annulus", "annulus.line_offset", "a", "annulus.line_offset"),
+    ("annulus", "annulus.outer_radius", "a", "annulus.outer_radius"),
+    ("rotate", "rotate.anchor", ["q", 0], "rotate.anchor"),
+    ("rotate", "rotate.axis", [0.0, 2.0], "rotate.axis"),
+    ("rotate", "rotate.variant", "bogus", "rotate.variant"),
+    ("symmetry", "symmetry.axis", ["q", 0], "symmetry.axis"),
+    ("solve", "--p", "0.5", "--p"),
+    ("solve", "--grid-n", "0", "--grid-n"),
+    ("solve", "--grid-n", "1", "--grid-n"),
+    ("solve", "--grid-n", "-3", "--grid-n"),
+])
+def test_main_malformed_value_one_line_error(tmp_path, capsys, base, path,
+                                             value, field):
+    raw = json.loads(MALFORMED_BASES[base])
+    args = []
+    if path.startswith("--"):
+        args = [path, value]
+    else:
+        *parents, key = path.split(".")
+        node = raw
+        for name in parents:
+            node = node[name]
+        node[key] = value
+    code, err = _main_stderr(tmp_path, capsys, raw["kind"], raw, *args)
+    assert code == 1
+    assert len(err) == 1
+    assert err[0].startswith("error: ValidationError: ")
+    assert field in err[0]
+    assert not (tmp_path / "out").exists()  # rejected before any run
 
 
 def test_main_no_free_nodes_exit_2(tmp_path, capsys):
