@@ -257,6 +257,8 @@ def parse_config(text: str) -> ScenarioConfig:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"line {exc.lineno}: {exc.msg}", line=exc.lineno) from exc
+    except (ValueError, RecursionError) as exc:  # past Python's digit or depth limit
+        raise ParseError(str(exc)) from exc
     cfg = _decode(ScenarioConfig, raw, "config")
     # rules the runners enforce, checked here so they fail before any solve
     if (t := cfg.translate) is not None:
@@ -270,6 +272,9 @@ def parse_config(text: str) -> ScenarioConfig:
         with _invalid("rotate.s_values"):
             for s in r.s_values:
                 rotated_obstacle(r.obstacle, r.anchor, r.axis, s)
+    if (sym := cfg.symmetry) is not None:
+        with _invalid("symmetry.axis"):
+            xp.check_unit(sym.axis, "axis direction")
     if (a := cfg.annulus) is not None:
         with _invalid("annulus"):
             xp.check_annulus(a.outer_radius, a.hole_radius, a.eccentricity,

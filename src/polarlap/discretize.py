@@ -127,6 +127,12 @@ class TriMesh:
             raise ValueError("function grid differs from mesh grid")
         return u.values.ravel()
 
+    def embed(self, free_vals: np.ndarray) -> np.ndarray:
+        """Full nodal vector with free_vals on the free nodes, 0 elsewhere."""
+        flat = np.zeros(self.n_nodes)
+        flat[self.free_nodes] = free_vals
+        return flat
+
     def function_from_flat(self, flat: np.ndarray) -> GridFunction:
         vals = flat.reshape(self.grid.node_shape)
         return GridFunction(self.grid, vals, self.free_cells)
@@ -188,42 +194,27 @@ def triangulate(D: PuncturedDomain) -> TriMesh:
                    mass_w, cls)
 
 
-def _check_dirichlet(M: TriMesh, flat: np.ndarray):
-    if M.dirichlet_nodes.size and np.abs(flat[M.dirichlet_nodes]).max() > 1e-14:
-        raise DirichletViolation("function is nonzero on a pinned node")
-
-
-def _triangle_gradients(M: TriMesh, flat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def triangle_gradients(M: TriMesh, flat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Constant per-triangle gradient (x and y parts) of the nodal vector flat."""
     vals = flat[M.tri_nodes]
     gx = np.einsum("tk,tk->t", M.grad_x, vals)
     gy = np.einsum("tk,tk->t", M.grad_y, vals)
     return gx, gy
 
 
-def energy_p(M: TriMesh, u: GridFunction, p: float) -> float:
-    """sum_T area * |grad u|_T^p with the constant per-triangle gradient."""
-    if p <= 1.0:
-        raise ValueError("p must exceed 1")
-    flat = M.flat_values(u)
-    _check_dirichlet(M, flat)
-    gx, gy = _triangle_gradients(M, flat)
+# Kernels on full nodal vectors (length n_nodes), unchecked; the *_p
+# functions below are their checked wrappers on GridFunctions.
+
+
+def energy_flat(M: TriMesh, flat: np.ndarray, p: float) -> float:
+    gx, gy = triangle_gradients(M, flat)
     g2 = gx * gx + gy * gy
     return float(M.area * np.sum(g2 ** (0.5 * p)))
 
 
-def grad_energy_p(M: TriMesh, u: GridFunction, p: float,
-                  smoothing: float = 0.0) -> np.ndarray:
-    """Exact gradient of energy_p with respect to the free nodal values.
-
-    With smoothing > 0 the |g|^(p-2) factor is evaluated at
-    max(|g|, smoothing); the exact gradient (smoothing 0) stays finite for
-    every p > 1 because |g|^(p-2) g -> 0 as g -> 0.
-    """
-    if p <= 1.0:
-        raise ValueError("p must exceed 1")
-    flat = M.flat_values(u)
-    _check_dirichlet(M, flat)
-    gx, gy = _triangle_gradients(M, flat)
+def grad_energy_flat(M: TriMesh, flat: np.ndarray, p: float,
+                     smoothing: float = 0.0) -> np.ndarray:
+    gx, gy = triangle_gradients(M, flat)
     g2 = gx * gx + gy * gy
     if smoothing > 0.0:
         mag = np.maximum(np.sqrt(g2), smoothing)
@@ -238,25 +229,55 @@ def grad_energy_p(M: TriMesh, u: GridFunction, p: float,
     return full[M.free_nodes]
 
 
-def mass_p(M: TriMesh, u: GridFunction, p: float) -> float:
-    """Lumped sum_n w_n |u_n|^p over the mesh nodes."""
-    if p <= 1.0:
-        raise ValueError("p must exceed 1")
-    flat = M.flat_values(u)
+def mass_flat(M: TriMesh, flat: np.ndarray, p: float) -> float:
     return float(np.sum(M.mass_w * np.abs(flat) ** p))
 
 
-def grad_mass_p(M: TriMesh, u: GridFunction, p: float) -> np.ndarray:
-    """Gradient p * w_n |u_n|^(p-2) u_n on the free nodes."""
-    if p <= 1.0:
-        raise ValueError("p must exceed 1")
-    flat = M.flat_values(u)
+def grad_mass_flat(M: TriMesh, flat: np.ndarray, p: float) -> np.ndarray:
     v = flat[M.free_nodes]
     w = M.mass_w[M.free_nodes]
     out = np.zeros_like(v)
     nz = v != 0.0
     out[nz] = p * w[nz] * np.abs(v[nz]) ** (p - 2.0) * v[nz]
     return out
+
+
+def _checked(M: TriMesh, u: GridFunction, p: float, pinned: bool) -> np.ndarray:
+    """Flat values of u after the p > 1 check (and, if pinned, the check
+    that u vanishes on the Dirichlet nodes)."""
+    if p <= 1.0:
+        raise ValueError("p must exceed 1")
+    flat = M.flat_values(u)
+    if pinned and M.dirichlet_nodes.size and \
+            np.abs(flat[M.dirichlet_nodes]).max() > 1e-14:
+        raise DirichletViolation("function is nonzero on a pinned node")
+    return flat
+
+
+def energy_p(M: TriMesh, u: GridFunction, p: float) -> float:
+    """sum_T area * |grad u|_T^p with the constant per-triangle gradient."""
+    return energy_flat(M, _checked(M, u, p, pinned=True), p)
+
+
+def grad_energy_p(M: TriMesh, u: GridFunction, p: float,
+                  smoothing: float = 0.0) -> np.ndarray:
+    """Exact gradient of energy_p with respect to the free nodal values.
+
+    With smoothing > 0 the |g|^(p-2) factor is evaluated at
+    max(|g|, smoothing); the exact gradient (smoothing 0) stays finite for
+    every p > 1 because |g|^(p-2) g -> 0 as g -> 0.
+    """
+    return grad_energy_flat(M, _checked(M, u, p, pinned=True), p, smoothing)
+
+
+def mass_p(M: TriMesh, u: GridFunction, p: float) -> float:
+    """Lumped sum_n w_n |u_n|^p over the mesh nodes."""
+    return mass_flat(M, _checked(M, u, p, pinned=False), p)
+
+
+def grad_mass_p(M: TriMesh, u: GridFunction, p: float) -> np.ndarray:
+    """Gradient p * w_n |u_n|^(p-2) u_n on the free nodes."""
+    return grad_mass_flat(M, _checked(M, u, p, pinned=False), p)
 
 
 def mesh_dump(M: TriMesh) -> str:

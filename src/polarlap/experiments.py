@@ -611,6 +611,7 @@ def symmetry_check(D: PuncturedDomain, a, eta, p: float,
     """Solve on D and measure how far the eigenfunction is from its own
     polarization over the anchored polarizer pool."""
     cfg = _with_p(cfg, p)
+    check_unit(eta, "axis direction")
     a = np.asarray(a, dtype=float)
     eta = np.asarray(eta, dtype=float)
     pool = fss_polarizer_pool(a, eta, D.grid)

@@ -106,6 +106,24 @@ def test_parse_error_reports_line():
     assert err.value.line == 2
 
 
+@pytest.mark.parametrize("nx", [
+    "1" * 5000,                  # past Python's int-string digit limit
+    "[" * 5000 + "]" * 5000,     # past the interpreter's nesting limit
+], ids=["digits", "depth"])
+def test_main_json_limit_one_line_parse_error(tmp_path, capsys, nx):
+    # json.loads raises a bare ValueError or RecursionError at these limits
+    path = tmp_path / "c.cfg"
+    text = (CONFIG_DIR / "solve_square.cfg").read_text()
+    assert '"nx": 64' in text
+    path.write_text(text.replace('"nx": 64', f'"nx": {nx}'))
+    code = main(["solve", "--config", str(path), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err.splitlines()
+    assert code == 1
+    assert len(err) == 1
+    assert err[0].startswith("error: ParseError: ")
+    assert not (tmp_path / "out").exists()
+
+
 def test_missing_grid_spacing_named():
     bad = json.loads(MINIMAL_SOLVE)
     del bad["grid"]["spacing"]
@@ -285,6 +303,8 @@ MALFORMED_BASES = {
     ("rotate", "rotate.axis", [0.0, 2.0], "rotate.axis"),
     ("rotate", "rotate.variant", "bogus", "rotate.variant"),
     ("symmetry", "symmetry.axis", ["q", 0], "symmetry.axis"),
+    ("symmetry", "symmetry.axis", [5, 0], "symmetry.axis"),
+    ("symmetry", "symmetry.axis", [0, 0], "symmetry.axis"),
     ("solve", "--p", "0.5", "--p"),
     ("solve", "--grid-n", "0", "--grid-n"),
     ("solve", "--grid-n", "1", "--grid-n"),

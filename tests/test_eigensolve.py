@@ -20,6 +20,8 @@ from polarlap.geometry import (
 from polarlap.discretize import triangulate
 from polarlap.eigensolve import (
     EigenResult,
+    _Assembler,
+    _mass_normalize,
     SolverConfig,
     check_weak_form,
     rayleigh,
@@ -165,9 +167,19 @@ def test_no_free_nodes_raises():
 # ---------------------------------------------------------------------------
 
 
+def _eigsh_pair(mesh):
+    # smallest eigenpair of (stiffness, lumped mass) by ARPACK shift-invert
+    import scipy.sparse as sp
+    import scipy.sparse.linalg as spla
+    K = _Assembler(mesh).stiffness()
+    m = mesh.mass_w[mesh.free_nodes]
+    lam, vec = spla.eigsh(K, k=1, M=sp.diags(m), sigma=0.0, which="LM")
+    return float(lam[0]), vec[:, 0]
+
+
 def test_solve_p_matches_p2_path(rng):
-    # ten random punctured domains: the general-p path at p = 2 agrees with
-    # the linear inverse power iteration
+    # ten random punctured domains: the driver at p = 2 agrees with an
+    # independent sparse eigensolver on the same discrete pencil
     meshes = [_square_mesh(16)]
     for k in range(9):
         cx = float(rng.uniform(-0.08, 0.08))
@@ -177,9 +189,10 @@ def test_solve_p_matches_p2_path(rng):
         bc = DIRICHLET if k % 2 == 0 else NEUMANN
         meshes.append(_annulus_mesh(20, R=R, r=r, center=(cx, cy), bc_inner=bc))
     for mesh in meshes:
-        a = solve_p2(mesh)
-        b = solve_p(mesh, SolverConfig(p=2.0))
-        assert abs(a.lam - b.lam) / a.lam < 1e-6
+        a = solve(mesh, SolverConfig(p=2.0))
+        lam, _ = _eigsh_pair(mesh)
+        assert a.converged
+        assert abs(a.lam - lam) / lam < 1e-6
 
 
 def test_lambda_continuous_in_p():
@@ -189,6 +202,38 @@ def test_lambda_continuous_in_p():
         lams.append(solve_p(mesh, SolverConfig(p=p)).lam)
     for a, b in zip(lams, lams[1:]):
         assert abs(b - a) / a < 0.20  # no jumps along the p-sampling
+
+
+def test_hot_loop_builds_no_grid_functions(monkeypatch):
+    # the outer and inner loops run on free-node vectors; only the result
+    # is a GridFunction
+    from polarlap.rearrange import GridFunction
+    built = []
+    post_init = GridFunction.__post_init__
+
+    def counted(self):
+        built.append(1)
+        post_init(self)
+
+    monkeypatch.setattr(GridFunction, "__post_init__", counted)
+    mesh = _annulus_mesh(12)
+    solve(mesh, SolverConfig(p=1.5, max_outer=3))
+    assert len(built) < 10
+
+
+def test_cg_failure_is_not_converged(monkeypatch):
+    # a p = 2 step counts as converged only if its CG solve met rtol
+    import scipy.sparse.linalg as spla
+    cg = spla.cg
+
+    def failing(*args, **kwargs):
+        y, _ = cg(*args, **kwargs)
+        return y, 1
+
+    monkeypatch.setattr(spla, "cg", failing)
+    res = solve(_annulus_mesh(16), SolverConfig(p=2.0, max_outer=50))
+    assert res.converged is False
+    assert res.outer_iters == 50
 
 
 def test_solve_p16_small_mesh():
@@ -215,16 +260,11 @@ def test_weak_form_pairing_with_eigenfunction_is_zero():
 
 def test_weak_form_defect_p2_exact_pair():
     # exact discrete eigenpair from an independent sparse eigensolver
-    import scipy.sparse as sp
-    import scipy.sparse.linalg as spla
-    from polarlap.eigensolve import _assemble_p2_stiffness, _mass_normalize
     mesh = _annulus_mesh(16)
-    K = _assemble_p2_stiffness(mesh)
-    m = mesh.mass_w[mesh.free_nodes]
-    lam, vec = spla.eigsh(K, k=1, M=sp.diags(m), sigma=0.0, which="LM")
-    x = np.abs(vec[:, 0])
-    x, u = _mass_normalize(mesh, x, 2.0)
-    res = EigenResult(float(lam[0]), u, 0, 0.0, True, 2.0)
+    lam, vec = _eigsh_pair(mesh)
+    x = _mass_normalize(mesh, np.abs(vec), 2.0)
+    u = mesh.function_from_flat(mesh.embed(x))
+    res = EigenResult(lam, u, 0, 0.0, True, 2.0)
     assert check_weak_form(mesh, res, 20) < 1e-8
 
 
