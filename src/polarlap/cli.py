@@ -17,7 +17,7 @@ import math
 import sys
 import time
 from contextlib import contextmanager
-from dataclasses import MISSING, dataclass, fields, is_dataclass, replace
+from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass, replace
 from functools import cache
 from pathlib import Path
 from typing import Literal, Optional, Union, get_args, get_origin, get_type_hints
@@ -32,6 +32,7 @@ from .errors import (
     OutOfBounds,
     ParseError,
     PolarlapError,
+    SupportMismatch,
     SymmetryHypothesisViolated,
     ValidationError,
     ZeroFunction,
@@ -297,9 +298,7 @@ def _write(path: Path, text: str):
 
 
 def emit_plot(sweep: "xp.SweepResult", path, param_name: str = "param") -> None:
-    """Write the single-polyline SVG for a sweep (needs >= 2 points)."""
-    if len(sweep.params) < 2:
-        raise ValueError("sweep plot needs at least 2 points")
+    """Write the single-polyline SVG for a sweep (ValueError below 2 points)."""
     try:
         _write(Path(path), formats.sweep_to_svg(sweep.params, sweep.lambdas,
                                                 sweep.converged, param_name))
@@ -307,15 +306,15 @@ def emit_plot(sweep: "xp.SweepResult", path, param_name: str = "param") -> None:
         raise IOError(f"cannot write plot: {exc}") from exc
 
 
-def _write_sweep_outputs(out: Path, sweep: xp.SweepResult, verdict: dict,
+def _write_sweep_outputs(out: Path, sweep: xp.SweepResult, result,
                          param_name: str):
+    """result.csv and sweep.svg from the sweep, verdict.json from result."""
     _write(out / "result.csv", formats.sweep_to_csv(
         sweep.params, sweep.lambdas, sweep.converged, sweep.outer_iters,
         sweep.residuals))
-    _write(out / "verdict.json", formats.dumps_json(verdict))
+    _write(out / "verdict.json", formats.dumps_json(asdict(result)))
     if len(sweep.params) >= 2:
-        _write(out / "sweep.svg", formats.sweep_to_svg(
-            sweep.params, sweep.lambdas, sweep.converged, param_name))
+        emit_plot(sweep, out / "sweep.svg", param_name)
 
 
 def run(cfg: ScenarioConfig, out_dir: Optional[str] = None) -> int:
@@ -332,7 +331,7 @@ def run(cfg: ScenarioConfig, out_dir: Optional[str] = None) -> int:
         unconverged = _dispatch(cfg, out)
     except (AssumptionViolated, NotAdmissible, SymmetryHypothesisViolated,
             IncompatiblePolarizer, EmptyAdmissibleSet, MalformedDomain,
-            OutOfBounds, NoFreeNodes, ZeroFunction) as exc:
+            OutOfBounds, NoFreeNodes, ZeroFunction, SupportMismatch) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
@@ -371,7 +370,7 @@ def _dispatch(cfg: ScenarioConfig, out: Path) -> bool:
             [0.0, 1.0], [verdict.lambda_before, verdict.lambda_after],
             [verdict.converged_before, verdict.converged_after], [0, 0],
             [0.0, 0.0]))
-        _write(out / "verdict.json", formats.dumps_json(verdict.to_dict()))
+        _write(out / "verdict.json", formats.dumps_json(asdict(verdict)))
         return not (verdict.converged_before and verdict.converged_after)
 
     if kind == "translate-sweep":
@@ -380,7 +379,7 @@ def _dispatch(cfg: ScenarioConfig, out: Path) -> bool:
                                    cfg.solver.p, cfg.grid, t.bc_outer,
                                    t.bc_obstacle, cfg.solver,
                                    fixed_holes=t.fixed_holes)
-        _write_sweep_outputs(out, sweep, sweep.to_dict(), "shift")
+        _write_sweep_outputs(out, sweep, sweep, "shift")
         return not all(sweep.converged)
 
     if kind == "rotate-sweep":
@@ -388,7 +387,7 @@ def _dispatch(cfg: ScenarioConfig, out: Path) -> bool:
         sweep = xp.rotate_sweep(r.variant, r.outer, r.fixed_hole, r.obstacle,
                                 r.anchor, r.axis, r.s_values, cfg.solver.p,
                                 cfg.grid, cfg.solver)
-        _write_sweep_outputs(out, sweep, sweep.to_dict(), "cos(angle)")
+        _write_sweep_outputs(out, sweep, sweep, "cos(angle)")
         return not all(sweep.converged)
 
     if kind == "annulus-study":
@@ -399,7 +398,7 @@ def _dispatch(cfg: ScenarioConfig, out: Path) -> bool:
                                   a.step_cells, a.line_offset,
                                   a.circles or None)
         sweep = report.axis_sweep
-        _write_sweep_outputs(out, sweep, report.to_dict(), "shift")
+        _write_sweep_outputs(out, sweep, report, "shift")
         return not all(sweep.converged)
 
     if kind == "symmetry-check":

@@ -18,8 +18,6 @@ from .errors import DirichletViolation, MalformedDomain
 from .geometry import DIRICHLET, Grid, PuncturedDomain, RasterSet, _CONN4
 from .rearrange import GridFunction, _node_incidence
 
-Edge = tuple[tuple[int, int], tuple[int, int]]  # ((ix,iy),(jx,jy)) node grid coords
-
 
 @dataclass(frozen=True)
 class BoundaryClassification:

@@ -33,6 +33,10 @@ class SignedInput(PolarlapError):
     """A signed function was passed where a nonnegative one is required."""
 
 
+class SupportMismatch(PolarlapError):
+    """A polarized function is positive off its polarized support."""
+
+
 class DirichletViolation(PolarlapError):
     """A function is nonzero on a pinned boundary node."""
 

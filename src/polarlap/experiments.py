@@ -25,14 +25,15 @@ from .geometry import (
     Polarizer,
     PuncturedDomain,
     RasterSet,
+    Reflection,
     ShapeSpec,
-    _AXIS_NORMALS,
     directionally_convex,
     fss_polarizer_pool,
     is_foliated_schwarz,
     is_polarization_invariant,
     is_reflection_symmetric,
     is_steiner_symmetric,
+    normal_axis,
     polarize_punctured,
     rasterize,
     reflect_set,
@@ -67,18 +68,6 @@ class SweepResult:
     direction: str       # increasing | decreasing | constant | mixed
     min_margin: float    # smallest |dlambda|/lambda among strict pairs
     notes: tuple
-
-    def to_dict(self) -> dict:
-        return {
-            "params": list(self.params),
-            "lambdas": list(self.lambdas),
-            "converged": list(self.converged),
-            "outer_iters": list(self.outer_iters),
-            "residuals": list(self.residuals),
-            "direction": self.direction,
-            "min_margin": self.min_margin,
-            "notes": list(self.notes),
-        }
 
 
 def _classify(params, lambdas, converged, eps) -> tuple[str, float]:
@@ -137,18 +126,6 @@ class FkVerdict:
     converged_before: bool
     converged_after: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "lambda_before": self.lambda_before,
-            "lambda_after": self.lambda_after,
-            "relation": self.relation,
-            "strict_case": self.strict_case,
-            "gap": self.gap,
-            "p": self.p,
-            "converged_before": self.converged_before,
-            "converged_after": self.converged_after,
-        }
-
 
 def fk_check(D: PuncturedDomain, H: Polarizer, p: float,
              cfg: Optional[SolverConfig] = None) -> FkVerdict:
@@ -204,16 +181,6 @@ def check_unit(v, name: str) -> None:
         raise ValueError(f"{name} must be a unit vector")
 
 
-def _axis_of(h) -> str:
-    hx, hy = float(h[0]), float(h[1])
-    for name, (nx_, ny_) in _AXIS_NORMALS.items():
-        if (abs(abs(hx) - abs(nx_)) < 1e-9 and abs(abs(hy) - abs(ny_)) < 1e-9
-                and (hx * nx_ + hy * ny_) != 0.0):
-            return name
-    raise IncompatiblePolarizer(
-        "translation direction must be axis-aligned or at 45 degrees")
-
-
 def translate_sweep(outer_shape: ShapeSpec, obstacle_shape: ShapeSpec, h,
                     s_values: Sequence[float], p: float, grid: Grid,
                     bc_outer: str = DIRICHLET, bc_obstacle: str = DIRICHLET,
@@ -230,7 +197,7 @@ def translate_sweep(outer_shape: ShapeSpec, obstacle_shape: ShapeSpec, h,
     cfg = _with_p(cfg, p)
     check_unit(h, "translation direction")
     h = np.asarray(h, dtype=float)
-    axis = _axis_of(h)
+    axis, _ = normal_axis(h)
     outer = rasterize(outer_shape, grid)
     holes = tuple(rasterize(sp, grid) for sp in fixed_holes)
     domain_fixed = outer
@@ -256,7 +223,7 @@ def translate_sweep(outer_shape: ShapeSpec, obstacle_shape: ShapeSpec, h,
         raise AssumptionViolated("s_values must be nondecreasing")
 
     notes = []
-    sigma0 = domain_fixed.intersect(_half_space_cells(grid, h, 0.0, above=True))
+    sigma0 = RasterSet(grid, domain_fixed.mask & Reflection.of(H0, grid).beyond)
     try:
         refl = reflect_set(H0, sigma0)
         if not directionally_convex(sigma0.union(refl), axis):
@@ -294,13 +261,6 @@ def translate_sweep(outer_shape: ShapeSpec, obstacle_shape: ShapeSpec, h,
     return build_sweep(kept, results, cfg, notes)
 
 
-def _half_space_cells(grid: Grid, h, s: float, above: bool) -> RasterSet:
-    """Cells with x . h > s (above) or < s."""
-    X, Y = grid.cell_centers()
-    val = X * float(h[0]) + Y * float(h[1])
-    return RasterSet(grid, (val > s) if above else (val < s))
-
-
 # ---------------------------------------------------------------------------
 # rotation sweep
 # ---------------------------------------------------------------------------
@@ -331,18 +291,17 @@ def rotate_sweep(variant: str, outer_shape: ShapeSpec,
     check_unit(eta, "axis direction")
     check_variant(variant)
     eta = np.asarray(eta, dtype=float)
-    if variant == NEUMANN_OUTER:
-        if not isinstance(outer_shape, Disk) or \
-                math.hypot(outer_shape.center[0] - a[0],
-                           outer_shape.center[1] - a[1]) > 1e-12:
-            raise AssumptionViolated(
-                "Neumann-outer variant needs a disk outer set centered at the anchor")
-    if variant == NEUMANN_INNER and fixed_hole is not None:
-        if not isinstance(fixed_hole, Disk) or \
-                math.hypot(fixed_hole.center[0] - a[0],
-                           fixed_hole.center[1] - a[1]) > 1e-12:
-            raise AssumptionViolated(
-                "Neumann-inner variant needs a disk hole centered at the anchor")
+
+    def off_anchor(shape) -> bool:
+        return not isinstance(shape, Disk) or math.hypot(
+            shape.center[0] - a[0], shape.center[1] - a[1]) > 1e-12
+
+    if variant == NEUMANN_OUTER and off_anchor(outer_shape):
+        raise AssumptionViolated(
+            "Neumann-outer variant needs a disk outer set centered at the anchor")
+    if variant == NEUMANN_INNER and fixed_hole is not None and off_anchor(fixed_hole):
+        raise AssumptionViolated(
+            "Neumann-inner variant needs a disk hole centered at the anchor")
     if any(s_values[i] > s_values[i + 1] for i in range(len(s_values) - 1)):
         raise AssumptionViolated("s_values must be nondecreasing")
 
@@ -401,17 +360,6 @@ class CircleCheck:
     ordered: bool          # lambda increasing with the first coordinate
     min_margin: float
 
-    def to_dict(self) -> dict:
-        return {
-            "center_t": self.center_t,
-            "radius": self.radius,
-            "s_values": list(self.s_values),
-            "lambdas": list(self.lambdas),
-            "converged": list(self.converged),
-            "ordered": self.ordered,
-            "min_margin": self.min_margin,
-        }
-
 
 @dataclass(frozen=True)
 class AnnulusStudyReport:
@@ -429,30 +377,12 @@ class AnnulusStudyReport:
     r_under: float
     notes: tuple
 
-    def to_dict(self) -> dict:
-        return {
-            "axis_sweep": self.axis_sweep.to_dict(),
-            "left_segment": self.left_segment.to_dict() if self.left_segment else None,
-            "mid_segment": self.mid_segment.to_dict() if self.mid_segment else None,
-            "right_segment": self.right_segment.to_dict() if self.right_segment else None,
-            "offaxis_segment": self.offaxis_segment.to_dict() if self.offaxis_segment else None,
-            "circle_checks": [c.to_dict() for c in self.circle_checks],
-            "argmax_param": self.argmax_param,
-            "argmax_interior": self.argmax_interior,
-            "unimodal": self.unimodal,
-            "n_local_maxima": self.n_local_maxima,
-            "r_bar": self.r_bar,
-            "r_under": self.r_under,
-            "notes": list(self.notes),
-        }
-
 
 def _feasible_obstacle(outer, hole, grid, center, rho):
     try:
         ob = rasterize(Disk(center, rho, closed=True), grid)
-        D = PuncturedDomain(outer, (hole, ob), bc_outer=DIRICHLET,
-                            bc_inner=DIRICHLET)
-        return D
+        return PuncturedDomain(outer, (hole, ob), bc_outer=DIRICHLET,
+                               bc_inner=DIRICHLET)
     except (MalformedDomain, OutOfBounds):
         return None
 
@@ -540,10 +470,8 @@ def annulus_study(R: float, r: float, alpha: float, rho: float, p: float,
     argmax_param = float("nan")
     argmax_interior = False
     if lam_right:
-        for i in range(len(lam_right)):
-            left_ok = i == 0 or lam_right[i] > lam_right[i - 1]
-            right_ok = i == len(lam_right) - 1 or lam_right[i] >= lam_right[i + 1]
-            if left_ok and right_ok and 0 < i < len(lam_right) - 1:
+        for i in range(1, len(lam_right) - 1):  # interior local maxima
+            if lam_right[i - 1] < lam_right[i] >= lam_right[i + 1]:
                 n_max += 1
         j = int(np.argmax(lam_right))
         argmax_param = s_right[j]

@@ -9,6 +9,11 @@ Half-unit frame used internally: cell (ix, iy) carries integer coordinates
 (2*ix+1, 2*iy+1) and node (ix, iy) carries (2*ix, 2*iy), both measured in
 units of spacing/2 from the grid origin.  Compatible reflections act on
 these integers.
+
+The compatible polarizers are listed once, in the axis table _AXES: each
+axis is a lattice functional a*U + b*V, its normals +-(a, b)/|(a, b)| are
+two of the eight compatible ones, and the line {a*U + b*V = t} is
+compatible when t is an integer multiple of a^2 + b^2.
 """
 
 from __future__ import annotations
@@ -32,7 +37,6 @@ from .errors import (
 DIRICHLET = "dirichlet"
 NEUMANN = "neumann"
 
-_SQRT2 = math.sqrt(2.0)
 _NORMAL_TOL = 1e-9
 _LINE_TOL = 1e-9
 
@@ -128,10 +132,6 @@ class RasterSet:
         return RasterSet(self.grid, ~self.mask)
 
 
-def empty_raster(grid: Grid) -> RasterSet:
-    return RasterSet(grid, np.zeros(grid.shape, dtype=bool))
-
-
 def full_raster(grid: Grid) -> RasterSet:
     return RasterSet(grid, np.ones(grid.shape, dtype=bool))
 
@@ -165,10 +165,6 @@ class Polarizer:
         x = np.asarray(x, dtype=float)
         return float(x @ np.array(self.normal) - self.offset)
 
-    def contains(self, x) -> bool:
-        """Strict open-half-space membership."""
-        return self.signed_distance(x) < 0.0
-
     def grid_compatible(self, grid: Grid) -> bool:
         try:
             _reduce(self, grid)
@@ -177,68 +173,68 @@ class Polarizer:
         return True
 
 
+# axis -> lattice functional (a, b): a*U + b*V on half-unit coordinates
+_AXES = {"x": (1, 0), "y": (0, 1), "diag": (1, 1), "antidiag": (1, -1)}
+
+
+def _normal(axis: str, sign: int = 1) -> tuple[float, float]:
+    """Unit normal sign*(a, b)/|(a, b)|; integer products keep -0.0 out."""
+    a, b = _AXES[axis]
+    r = math.sqrt(a * a + b * b)
+    return (sign * a / r, sign * b / r)
+
+
+# the eight compatible normals as (unit normal, axis, greater), +(a, b)
+# before -(a, b) for every axis; H = {a*U + b*V > t} for -(a, b)
+_NORMALS = tuple((_normal(axis, sign), axis, sign < 0)
+                 for axis in _AXES for sign in (1, -1))
+
+
+def normal_axis(normal) -> tuple[str, bool]:
+    """(axis, greater) of a compatible unit normal; greater for -(a, b)."""
+    hx, hy = float(normal[0]), float(normal[1])
+    for (cx, cy), axis, greater in _NORMALS:
+        if abs(hx - cx) <= _NORMAL_TOL and abs(hy - cy) <= _NORMAL_TOL:
+            return axis, greater
+    raise IncompatiblePolarizer(
+        f"direction {(hx, hy)} is not axis-aligned or at 45 degrees")
+
+
 @dataclass(frozen=True)
 class _Reduced:
     """Integer form of a compatible polarizer on a given grid.
 
-    kind picks the linear functional on half-unit coordinates (U, V) of
-    cells/nodes; H is the side {coord > t} when greater else {coord < t}.
+    kind is the axis whose functional a*U + b*V the line fixes at t; H is
+    the side {coord > t} when greater else {coord < t}.
     """
 
-    kind: str  # "x" | "y" | "sum" | "diff"
+    kind: str
     t: int
     greater: bool
 
 
-# (unit normal, kind, greater, t_float(offset, grid))
-_REDUCTIONS = (
-    ((1.0, 0.0), "x", False, lambda s, g: 2.0 * (s - g.origin[0]) / g.spacing),
-    ((-1.0, 0.0), "x", True, lambda s, g: 2.0 * (-s - g.origin[0]) / g.spacing),
-    ((0.0, 1.0), "y", False, lambda s, g: 2.0 * (s - g.origin[1]) / g.spacing),
-    ((0.0, -1.0), "y", True, lambda s, g: 2.0 * (-s - g.origin[1]) / g.spacing),
-    ((1.0 / _SQRT2, 1.0 / _SQRT2), "sum", False,
-     lambda s, g: 2.0 * (_SQRT2 * s - g.origin[0] - g.origin[1]) / g.spacing),
-    ((-1.0 / _SQRT2, -1.0 / _SQRT2), "sum", True,
-     lambda s, g: 2.0 * (-_SQRT2 * s - g.origin[0] - g.origin[1]) / g.spacing),
-    ((1.0 / _SQRT2, -1.0 / _SQRT2), "diff", False,
-     lambda s, g: 2.0 * (_SQRT2 * s - g.origin[0] + g.origin[1]) / g.spacing),
-    ((-1.0 / _SQRT2, 1.0 / _SQRT2), "diff", True,
-     lambda s, g: 2.0 * (-_SQRT2 * s - g.origin[0] + g.origin[1]) / g.spacing),
-)
-
-
 def _reduce(H: Polarizer, grid: Grid) -> _Reduced:
-    nx_, ny_ = H.normal
-    for (cx, cy), kind, greater, t_of in _REDUCTIONS:
-        if abs(nx_ - cx) <= _NORMAL_TOL and abs(ny_ - cy) <= _NORMAL_TOL:
-            tf = t_of(H.offset, grid)
-            t = round(tf)
-            if abs(tf - t) > _LINE_TOL:
-                raise IncompatiblePolarizer(
-                    f"line position {tf} is not aligned to half-cell units")
-            if kind in ("sum", "diff") and t % 2 != 0:
-                raise IncompatiblePolarizer(
-                    "diagonal reflection line must pass through grid nodes")
-            return _Reduced(kind, int(t), greater)
-    raise IncompatiblePolarizer(
-        f"normal {H.normal} is not axis-aligned or at 45 degrees")
-
-
-def _offset_from_t(kind: str, greater: bool, t: int, grid: Grid) -> float:
-    """Inverse of the t_float maps; used to report sweep positions."""
+    axis, greater = normal_axis(H.normal)
+    a, b = _AXES[axis]
+    r = math.sqrt(a * a + b * b)
     ox, oy = grid.origin
-    d = grid.spacing
-    if kind == "x":
-        v = ox + 0.5 * t * d
-        return -v if greater else v
-    if kind == "y":
-        v = oy + 0.5 * t * d
-        return -v if greater else v
-    if kind == "sum":
-        v = (ox + oy + 0.5 * t * d) / _SQRT2
-        return -v if greater else v
-    v = (ox - oy + 0.5 * t * d) / _SQRT2
-    return -v if greater else v
+    tf = 2.0 * ((-r if greater else r) * H.offset - a * ox - b * oy) / grid.spacing
+    t = round(tf)
+    if abs(tf - t) > _LINE_TOL:
+        raise IncompatiblePolarizer(
+            f"line position {tf} is not aligned to half-cell units")
+    if t % (a * a + b * b) != 0:
+        raise IncompatiblePolarizer(
+            "diagonal reflection line must pass through grid nodes")
+    return _Reduced(axis, int(t), greater)
+
+
+def _offset_from_t(red: _Reduced, grid: Grid) -> float:
+    """Inverse of _reduce: the offset of the polarizer red stands for."""
+    a, b = _AXES[red.kind]
+    ox, oy = grid.origin
+    v = (a * ox + b * oy + 0.5 * red.t * grid.spacing) / math.sqrt(a * a + b * b)
+    return -v if red.greater else v
 
 
 class Reflection:
@@ -262,8 +258,8 @@ class Reflection:
         coord, (U2, V2) = {
             "x": (U, (2 * t - U, V)),
             "y": (V, (U, 2 * t - V)),
-            "sum": (U + V, (t - V, t - U)),
-            "diff": (U - V, (V + t, U - t)),
+            "diag": (U + V, (t - V, t - U)),
+            "antidiag": (U - V, (V + t, U - t)),
         }[red.kind]
         self.coord = np.broadcast_to(coord, shape)
         self.in_h = (self.coord > t) if red.greater else (self.coord < t)
@@ -383,19 +379,11 @@ def witness_sets(H: Polarizer, omega: RasterSet) -> tuple[RasterSet, RasterSet]:
 # symmetry predicates
 # ---------------------------------------------------------------------------
 
-_AXIS_NORMALS = {
-    "x": (1.0, 0.0),
-    "y": (0.0, 1.0),
-    "diag": (1.0 / _SQRT2, 1.0 / _SQRT2),
-    "antidiag": (1.0 / _SQRT2, -1.0 / _SQRT2),
-}
-
-
 def axis_polarizer(axis: str, offset: float) -> Polarizer:
-    """Half-space {x . n < offset} for the named unit normal n."""
-    if axis not in _AXIS_NORMALS:
-        raise ValueError(f"axis must be one of {sorted(_AXIS_NORMALS)}, got {axis!r}")
-    return Polarizer(_AXIS_NORMALS[axis], offset)
+    """Half-space {x . n < offset} for the named axis normal n = (a, b)/|(a, b)|."""
+    if axis not in _AXES:
+        raise ValueError(f"axis must be one of {sorted(_AXES)}, got {axis!r}")
+    return Polarizer(_normal(axis), offset)
 
 
 def steiner_diagnostics(A: RasterSet, axis: str, offset: float):
@@ -406,21 +394,20 @@ def steiner_diagnostics(A: RasterSet, axis: str, offset: float):
     pivot and under dual polarization from below (finitely many exact
     tests).
     """
-    H0 = axis_polarizer(axis, offset)
-    red0 = _reduce(H0, A.grid)
+    red0 = _reduce(axis_polarizer(axis, offset), A.grid)  # H = {coord < t0}
     coord = Reflection(red0, A.grid).coord
     lo, hi = int(coord.min()) - 2, int(coord.max()) + 2
-    step = 2 if red0.kind in ("sum", "diff") else 1
+    a, b = _AXES[axis]
+    step = a * a + b * b  # diagonal lines must pass through nodes
     start = lo + (red0.t - lo) % step
     for t in range(start, hi + 1, step):
-        refl = Reflection(_Reduced(red0.kind, t, red0.greater), A.grid)
-        # offsets on the H side of the pivot use the primal test, the other
-        # side the dual test; orientation flips for 'greater' polarizers
-        above = (t <= red0.t) if red0.greater else (t >= red0.t)
-        below = (t >= red0.t) if red0.greater else (t <= red0.t)
-        if (above and not refl.invariant(A.mask)) or \
-                (below and not refl.invariant(A.mask, dual=True)):
-            return False, _offset_from_t(red0.kind, red0.greater, t, A.grid)
+        red = _Reduced(axis, t, False)
+        refl = Reflection(red, A.grid)
+        # lines at or past the pivot use the primal test, lines at or before
+        # it the dual test
+        if (t >= red0.t and not refl.invariant(A.mask)) or \
+                (t <= red0.t and not refl.invariant(A.mask, dual=True)):
+            return False, _offset_from_t(red, A.grid)
     return True, None
 
 
@@ -432,17 +419,13 @@ def is_steiner_symmetric(A: RasterSet, axis: str, offset: float) -> bool:
 
 def directionally_convex(A: RasterSet, axis: str) -> bool:
     """Every line of cells parallel to the named direction is one contiguous run."""
-    if axis not in _AXIS_NORMALS:
-        raise ValueError(f"axis must be one of {sorted(_AXIS_NORMALS)}")
-    m = A.mask
-    if axis == "x":
-        lines = [m[iy, :] for iy in range(m.shape[0])]
-    elif axis == "y":
-        lines = [m[:, ix] for ix in range(m.shape[1])]
-    else:
-        k = 1 if axis == "diag" else -1
-        lines = [np.diagonal(m[::k] if k < 0 else m, offset=off)
-                 for off in range(-m.shape[0] + 1, m.shape[1])]
+    if axis not in _AXES:
+        raise ValueError(f"axis must be one of {sorted(_AXES)}")
+    a, b = _AXES[axis]
+    # the lines of (a, b) are the rows of m for x and y, its diagonals else
+    m = A.mask.T if a == 0 else A.mask[::-1] if b < 0 else A.mask
+    lines = m if a * b == 0 else [np.diagonal(m, offset=off)
+                                  for off in range(-m.shape[0] + 1, m.shape[1])]
     for line in lines:
         idx = np.flatnonzero(line)
         if idx.size and idx[-1] - idx[0] + 1 != idx.size:
@@ -475,54 +458,40 @@ def is_foliated_schwarz(A: RasterSet, a, eta, pool: Sequence[Polarizer]) -> bool
     return True
 
 
-def fss_polarizer_pool(a, eta, grid: Grid, max_pool: int = 8) -> list[Polarizer]:
+def fss_polarizer_pool(a, eta, grid: Grid) -> list[Polarizer]:
     """Grid-compatible polarizers with a on the boundary and a + R+ eta inside.
 
-    In the plane at most three of the eight compatible normals satisfy the
-    ray condition for an axis-aligned eta, so pools are typically smaller
-    than max_pool.
+    The pool keeps _NORMALS order; at most four of the eight normals pass
+    the ray test (three for an axis-aligned eta).
     """
     a = np.asarray(a, dtype=float)
     eta = np.asarray(eta, dtype=float)
     pool = []
-    for (cx, cy), _, _, _ in _REDUCTIONS:
-        n = np.array([cx, cy])
+    for normal, _, _ in _NORMALS:
+        n = np.array(normal)
         if float(eta @ n) >= -1e-12:
             continue
-        H = Polarizer((cx, cy), float(a @ n))
+        H = Polarizer(normal, float(a @ n))
         if H.grid_compatible(grid):
             pool.append(H)
-        if len(pool) >= max_pool:
-            break
     return pool
 
 
 def default_polarizer_pool(grid: Grid) -> list[Polarizer]:
     """Polarizers whose reflection maps the grid window onto itself.
 
-    These are the center lines (both orientations) plus, for square grids,
-    the two main diagonals; the induced cell map is a permutation of the
-    window, so every set identity is exactly testable against them.
+    These are the lines through the window center for every axis and
+    orientation, the diagonals only on square grids; the induced cell map
+    is a permutation of the window, so every set identity is exactly
+    testable against them.
     """
-    ox, oy = grid.origin
-    d = grid.spacing
-    cx = ox + 0.5 * grid.nx * d
-    cy = oy + 0.5 * grid.ny * d
-    pool = [
-        Polarizer((1.0, 0.0), cx),
-        Polarizer((-1.0, 0.0), -cx),
-        Polarizer((0.0, 1.0), cy),
-        Polarizer((0.0, -1.0), -cy),
-    ]
-    if grid.nx == grid.ny:
-        anti = ox + oy + grid.nx * d  # x + y on the anti-diagonal
-        main = ox - oy                # x - y on the main diagonal
-        pool += [
-            Polarizer((1.0 / _SQRT2, 1.0 / _SQRT2), anti / _SQRT2),
-            Polarizer((-1.0 / _SQRT2, -1.0 / _SQRT2), -anti / _SQRT2),
-            Polarizer((1.0 / _SQRT2, -1.0 / _SQRT2), main / _SQRT2),
-            Polarizer((-1.0 / _SQRT2, 1.0 / _SQRT2), -main / _SQRT2),
-        ]
+    pool = []
+    for normal, axis, greater in _NORMALS:
+        a, b = _AXES[axis]
+        if a * b == 0 or grid.nx == grid.ny:
+            # the center has half-unit coordinates (nx, ny)
+            red = _Reduced(axis, a * grid.nx + b * grid.ny, greater)
+            pool.append(Polarizer(normal, _offset_from_t(red, grid)))
     return pool
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import OutOfBounds, SignedInput
+from .errors import OutOfBounds, SignedInput, SupportMismatch
 from .geometry import Grid, Polarizer, RasterSet, Reflection, polarize_set
 
 
@@ -75,15 +75,21 @@ def polarize_function(H: Polarizer, u: GridFunction) -> GridFunction:
     Only nonnegative inputs are accepted: the first eigenfunctions this
     module serves are one-signed, and zero extension then pairs cleanly
     with max/min.  Raises OutOfBounds when a positive value would be
-    rearranged outside the grid window.
+    rearranged outside the grid window, and SupportMismatch when the nodal
+    exchange leaves a positive value at a node that touches no cell of the
+    polarized support (which is rearranged cellwise).
     """
     if not u.is_nonnegative():
         raise SignedInput("polarize_function requires a nonnegative function")
     refl = Reflection.of(H, u.grid, nodes=True)
     if refl.escapes(u.values > 0.0):
         raise OutOfBounds("function polarization escapes the grid window")
-    return GridFunction(u.grid, refl.exchange(u.values),
-                        polarize_set(H, u.support_mask))
+    values = refl.exchange(u.values)
+    support = polarize_set(H, u.support_mask)
+    if np.any((values > 0.0) & (_node_incidence(support.mask) == 0)):
+        raise SupportMismatch(
+            "polarized function is positive at a node outside the polarized support")
+    return GridFunction(u.grid, values, support)
 
 
 def _sorted_sum(contrib: np.ndarray) -> float:
@@ -119,7 +125,6 @@ def support_set(u: GridFunction, threshold: float = 0.0) -> RasterSet:
     if threshold < 0.0:
         raise ValueError("threshold must be >= 0")
     pos = u.values > threshold
-    ny, nx = u.grid.shape
     cells = pos[:-1, :-1] | pos[:-1, 1:] | pos[1:, :-1] | pos[1:, 1:]
     return RasterSet(u.grid, cells)
 

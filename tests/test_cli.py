@@ -1,18 +1,20 @@
 """Config parsing, round-trips, scenario runs, output formats, determinism."""
 
 import json
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from polarlap.errors import ParseError, ValidationError
+from polarlap.errors import ParseError, SupportMismatch, ValidationError
 from polarlap.cli import (
     emit_config,
     main,
     parse_config,
     run,
 )
+from polarlap import experiments as xp
 from polarlap import formats
 from polarlap.geometry import Grid, RasterSet
 from polarlap.rearrange import GridFunction
@@ -222,6 +224,42 @@ def test_run_inadmissible_polarizer_exit_2(tmp_path, capsys):
     code = run(cfg, str(tmp_path))
     assert code == 2
     assert "NotAdmissible" in capsys.readouterr().err
+
+
+def test_run_support_mismatch_exit_2(tmp_path, capsys, monkeypatch):
+    msg = "polarized function is positive at a node outside the polarized support"
+
+    def mismatch(*args):
+        raise SupportMismatch(msg)
+
+    monkeypatch.setattr(xp, "symmetry_check", mismatch)
+    cfg = parse_config((CONFIG_DIR / "symmetry_check_annulus.cfg").read_text())
+    assert run(cfg, str(tmp_path)) == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: SupportMismatch: {msg}"]
+
+
+def _field_names(cls) -> set:
+    return {f.name for f in fields(cls)}
+
+
+def test_verdict_keys_are_result_fields(tmp_path):
+    out = tmp_path / "fk"
+    assert main(["fk-check", "--config", str(CONFIG_DIR / "fk_check_ellipse.cfg"),
+                 "--out", str(out), "--grid-n", "16"]) == 0
+    verdict = json.loads((out / "verdict.json").read_text())
+    assert set(verdict) == _field_names(xp.FkVerdict)
+
+    out = tmp_path / "annulus"
+    assert main(["annulus-study", "--config", str(CONFIG_DIR / "annulus_study.cfg"),
+                 "--out", str(out), "--grid-n", "24"]) == 0
+    report = json.loads((out / "verdict.json").read_text())
+    assert set(report) == _field_names(xp.AnnulusStudyReport)
+    assert report["mid_segment"] is None  # no admissible sample on this grid
+    for key in ("axis_sweep", "left_segment", "right_segment", "offaxis_segment"):
+        assert set(report[key]) == _field_names(xp.SweepResult)
+    assert len(report["circle_checks"]) == 2
+    for check in report["circle_checks"]:
+        assert set(check) == _field_names(xp.CircleCheck)
 
 
 def test_run_io_failure_exit_4(tmp_path, capsys):

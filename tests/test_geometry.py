@@ -432,6 +432,60 @@ def test_fss_pool_membership_conditions():
 
 
 # ---------------------------------------------------------------------------
+# polarizer pools, pinned: normals, offsets, order and repr (no -0.0 normal
+# component; (-1.0, -0.0) compares equal to (-1.0, 0.0) but reprs differ)
+# ---------------------------------------------------------------------------
+
+POOL_GRIDS = {
+    "square": Grid((0.0, 0.0), 0.125, 8, 8),
+    "nonsquare": Grid((0.0, 0.0), 0.25, 7, 10),
+    "offorigin": Grid((-1.5, 0.75), 0.5, 9, 9),
+}
+_D = 0.7071067811865475  # 1/sqrt(2) as the pools spell it
+
+DEFAULT_POOLS = {
+    "square": [((1.0, 0.0), 0.5), ((-1.0, 0.0), -0.5), ((0.0, 1.0), 0.5),
+               ((0.0, -1.0), -0.5), ((_D, _D), _D), ((-_D, -_D), -_D),
+               ((_D, -_D), 0.0), ((-_D, _D), -0.0)],
+    "nonsquare": [((1.0, 0.0), 0.875), ((-1.0, 0.0), -0.875),
+                  ((0.0, 1.0), 1.25), ((0.0, -1.0), -1.25)],
+    "offorigin": [((1.0, 0.0), 0.75), ((-1.0, 0.0), -0.75), ((0.0, 1.0), 3.0),
+                  ((0.0, -1.0), -3.0), ((_D, _D), 2.651650429449553),
+                  ((-_D, -_D), -2.651650429449553),
+                  ((_D, -_D), -1.590990257669732),
+                  ((-_D, _D), 1.590990257669732)],
+}
+
+FSS_POOLS = [
+    ("square", (0.5, 0.5), (1.0, 0.0),
+     [((-1.0, 0.0), -0.5), ((-_D, -_D), -_D), ((-_D, _D), 0.0)]),
+    ("nonsquare", (0.75, 1.25), (0.0, -1.0),
+     [((0.0, 1.0), 1.25), ((_D, _D), 1.414213562373095),
+      ((-_D, _D), 0.35355339059327373)]),
+    ("offorigin", (-0.5, 1.75), (0.6, 0.8),
+     [((-1.0, 0.0), 0.5), ((0.0, -1.0), -1.75),
+      ((-_D, -_D), -0.8838834764831843), ((_D, -_D), -1.590990257669732)]),
+    # anchor off the nodes: no diagonal is compatible
+    ("offorigin", (-0.25, 1.75), (-1.0, 0.0), [((1.0, 0.0), -0.25)]),
+]
+
+
+def _pinned(pool, expected):
+    assert [repr(H) for H in pool] == [
+        f"Polarizer(normal={n!r}, offset={s!r})" for n, s in expected]
+
+
+@pytest.mark.parametrize("name", sorted(DEFAULT_POOLS))
+def test_default_polarizer_pool_pinned(name):
+    _pinned(default_polarizer_pool(POOL_GRIDS[name]), DEFAULT_POOLS[name])
+
+
+@pytest.mark.parametrize("name, a, eta, expected", FSS_POOLS)
+def test_fss_polarizer_pool_pinned(name, a, eta, expected):
+    _pinned(fss_polarizer_pool(a, eta, POOL_GRIDS[name]), expected)
+
+
+# ---------------------------------------------------------------------------
 # rotation polarizer
 # ---------------------------------------------------------------------------
 

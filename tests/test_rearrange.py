@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from polarlap.errors import OutOfBounds, SignedInput
+from polarlap.errors import OutOfBounds, SignedInput, SupportMismatch
 from polarlap.geometry import (
     Disk,
+    Grid,
     Polarizer,
     RasterSet,
     default_polarizer_pool,
@@ -123,9 +124,9 @@ def test_polarize_function_matches_bruteforce(seed):
         except OutOfBounds:
             assert (brute_escapes(H, g2, v > 0.0, nodes=True)
                     or brute_escapes(H, g2, support.mask))
-        except ValueError:
-            # GridFunction rejects the result: an exchanged value is positive
-            # at a node that touches no cell of the polarized support
+        except SupportMismatch:
+            # an exchanged value is positive at a node that touches no cell
+            # of the polarized support
             pol = RasterSet(g2, brute_polarize(H, support))
             assert np.any((brute_polarize_function(H, u2) > 0.0)
                           & (node_weights(pol) == 0.0))
@@ -151,6 +152,23 @@ def test_polarize_function_escape_raises():
     u = GridFunction(g, v, full_raster(g))
     H = Polarizer((1.0, 0.0), 2.0 / 8.0)  # mirror lands left of the window
     with pytest.raises(OutOfBounds):
+        polarize_function(H, u)
+
+
+def test_polarize_function_support_mismatch_raises():
+    # support cells [1,1] and [2,2], u = 1 on every node touching them; the
+    # exchange about x = 0.5 leaves u = 1 at node (ix=3, iy=2), which touches
+    # no cell of the polarized support {[1,1], [2,1]}
+    g = Grid((0.0, 0.0), 0.25, 4, 4)
+    m = np.zeros(g.shape, dtype=bool)
+    m[1, 1] = m[2, 2] = True
+    support = RasterSet(g, m)
+    u = GridFunction(g, (node_weights(support) > 0).astype(float), support)
+    H = Polarizer((1.0, 0.0), 0.5)
+    assert polarize_set(H, support).same_cells(
+        RasterSet(g, np.array([[0, 0, 0, 0], [0, 1, 0, 0], [0, 1, 0, 0],
+                               [0, 0, 0, 0]], dtype=bool)))
+    with pytest.raises(SupportMismatch, match="outside the polarized support"):
         polarize_function(H, u)
 
 
