@@ -8,10 +8,15 @@ At p = 2 the inner problem is one linear solve, so the loop is the classical
 inverse power iteration.  The loop runs on free-node vectors through the
 flat discretize kernels; the GridFunction is built once, for the result.
 
-Laplacian solves are chosen by p alone.  p >= 2 uses CG warm-started from
-the current iterate: a resident sparse LU of the 1/64 stiffness raised a
-p = 2 sweep's peak memory by 15%.  p < 2 factors the stiffness once,
-because its descent applies it as a preconditioner on every step.
+Every symmetric positive definite solve at p >= 2 is conjugate gradients
+preconditioned by a two-grid smoothed-aggregation cycle (`_TwoGrid`): the
+p = 2 Laplacian solves, warm-started from the current iterate, and each
+p > 2 damped-Newton step, whose Hessian gets a cycle built from itself.
+Only the coarse matrix (about 1/16 of the unknowns) is factored; a resident
+sparse LU of the 1/64 stiffness raised a p = 2 sweep's peak memory by 15%,
+and one fine LU per Newton step was most of a p = 3 solve.  p < 2 factors
+the stiffness once, because its descent applies it as a preconditioner on
+every step and the two-grid there took three times as long.
 """
 
 from __future__ import annotations
@@ -92,9 +97,11 @@ class _Assembler:
         fi = M.free_index
         r = fi[rows]
         c = fi[cols]
+        del rows, cols
         self.keep = (r >= 0) & (c >= 0)
-        self.rows = r[self.keep]
-        self.cols = c[self.keep]
+        self.rows = r[self.keep].astype(np.int32)
+        self.cols = c[self.keep].astype(np.int32)
+        del r, c
         gx, gy = M.grad_x, M.grad_y
         # constant per-triangle local blocks of the quadratic form
         self.base_local = M.area * (gx[:, :, None] * gx[:, None, :] +
@@ -115,20 +122,61 @@ class _Assembler:
         return K.tocsr()
 
 
+class _TwoGrid(spla.LinearOperator):
+    """Symmetric two-grid V(1,1) cycle for an SPD free-node matrix K.
+
+    Smoothed aggregation (Vanek-Mandel-Brezina, Computing 56, 1996) on the
+    raster: aggregates are fixed 4x4 blocks of free nodes, the prolongation
+    is P = (I - 2/3 D^-1 K) P0, and the Galerkin coarse matrix P^T K P is
+    factored once.  One damped-Jacobi sweep (omega = 0.6) runs before and
+    one after the coarse correction, so the cycle is symmetric and, as a
+    CG preconditioner, positive definite.
+    """
+
+    def __init__(self, M: TriMesh, K: sp.csr_matrix):
+        super().__init__(K.dtype, K.shape)
+        iy, ix = np.divmod(M.free_nodes, M.grid.nx + 1)
+        _, agg = np.unique((iy // 4) * (M.grid.nx + 1) + ix // 4,
+                           return_inverse=True)
+        n = K.shape[0]
+        P0 = sp.csr_matrix((np.ones(n), (np.arange(n), agg)))
+        diag = K.diagonal()
+        KP0 = K @ P0
+        self.P = P0 - sp.diags(2.0 / 3.0 / diag) @ KP0
+        del P0, KP0
+        self.PT = self.P.T  # a view; transposing per application cost 8%
+        self.K = K
+        self.jacobi = 0.6 / diag
+        self.coarse = spla.splu((self.PT @ (K @ self.P)).tocsc())
+
+    def _matvec(self, r):
+        r = r.ravel()
+        y = self.jacobi * r
+        y += self.P @ self.coarse.solve(self.PT @ (r - self.K @ y))
+        y += self.jacobi * (r - self.K @ y)
+        return y
+
+    def cg(self, b: np.ndarray, x0, rtol: float) -> tuple[np.ndarray, bool]:
+        """CG on K y = b from x0 (None: zero) preconditioned by this cycle;
+        returns y and whether it met rtol."""
+        y, info = spla.cg(self.K, b, x0=x0, rtol=rtol, atol=0.0,
+                          maxiter=20 * self.K.shape[0], M=self)
+        return y, info == 0
+
+
 class _Laplacian:
     """Solves with the free-node stiffness K: an LU factor at p < 2, else
-    CG from x0 at rtol 1e-12, reporting whether it met that tolerance."""
+    two-grid PCG from x0 at rtol 1e-12, reporting whether it met that
+    tolerance."""
 
-    def __init__(self, K: sp.csr_matrix, p: float):
-        self.K = K
+    def __init__(self, M: TriMesh, K: sp.csr_matrix, p: float):
         self.lu = spla.splu(K.tocsc()) if p < 2.0 else None
+        self.two_grid = _TwoGrid(M, K) if p >= 2.0 else None
 
     def solve(self, b: np.ndarray, x0: np.ndarray) -> tuple[np.ndarray, bool]:
         if self.lu is not None:
             return self.lu.solve(b), True
-        y, info = spla.cg(self.K, b, x0=x0, rtol=1e-12, atol=0.0,
-                          maxiter=20 * self.K.shape[0])
-        return y, info == 0
+        return self.two_grid.cg(b, x0, 1e-12)
 
 
 def _mass_normalize(M: TriMesh, free_vals: np.ndarray, p: float) -> np.ndarray:
@@ -142,15 +190,16 @@ def _solve_inner(M: TriMesh, asm: _Assembler | None, lap: _Laplacian,
                  w: np.ndarray, x: np.ndarray, first: bool,
                  cfg: SolverConfig) -> tuple[np.ndarray, bool]:
     """Minimize energy_p(v)/p - <w, v> over the free nodes; returns v and
-    whether its Laplacian solve met its tolerance.
+    whether every linear solve on the way met its tolerance.
 
     p = 2: one linear solve.  Otherwise descent starts from the Laplacian
     solve on the first outer step and from the iterate x after that.
     p > 2: damped Newton (the Hessian is bounded there), floored by
-    smoothing_eps to stay definite on flat triangles.  p < 2:
-    preconditioned gradient steps in the p = 2 stiffness metric with
-    smoothing_eps guarding the |g|^(p-2) factor; the Hessian is unbounded
-    at flat gradients and is never formed.  All steps use Armijo
+    smoothing_eps to stay definite on flat triangles; each Newton system is
+    solved by PCG at rtol 1e-10 from 0 with a two-grid built from the
+    Hessian.  p < 2: preconditioned gradient steps in the p = 2 stiffness
+    metric with smoothing_eps guarding the |g|^(p-2) factor; the Hessian is
+    unbounded at flat gradients and is never formed.  All steps use Armijo
     backtracking (c = 1e-4, halving).
     """
     p = cfg.p
@@ -177,7 +226,8 @@ def _solve_inner(M: TriMesh, asm: _Assembler | None, lap: _Laplacian,
             fac = (p - 2.0) * d2 ** (0.5 * p - 2.0)
             q = tgx[:, None] * M.grad_x + tgy[:, None] * M.grad_y
             Kh = asm.stiffness(weights=wts, rank_one=(fac, q))
-            d = -spla.splu(Kh.tocsc()).solve(g)
+            d, solved = _TwoGrid(M, Kh).cg(-g, None, 1e-10)
+            ok = ok and solved
         else:
             d = -lap.lu.solve(g)
         slope = float(g @ d)
@@ -203,7 +253,7 @@ def solve(M: TriMesh, cfg: SolverConfig | None = None) -> EigenResult:
     Each outer step takes w = m |x|^(p-2) x, solves the inner problem, and
     keeps |v| normalized to unit lumped p-mass; it stops when the Rayleigh
     quotient moves by at most outer_tol relative after a step whose
-    Laplacian solve met its tolerance.
+    linear solves met their tolerances.
     """
     cfg = cfg or SolverConfig()
     if M.n_free == 0:
@@ -215,11 +265,13 @@ def solve(M: TriMesh, cfg: SolverConfig | None = None) -> EigenResult:
         u = M.function_from_flat(M.embed(x))
         return EigenResult(0.0, u, 0, 0.0, True, p)
     asm = _Assembler(M)
-    lap = _Laplacian(asm.stiffness(), p)
+    K = asm.stiffness()
     if p <= 2.0:
         # only Newton (p > 2) reassembles; holding the index tables through
         # the loop raised a p = 2 sweep's peak memory by 1 MB
         asm = None
+    lap = _Laplacian(M, K, p)
+    del K
     flat = M.embed(x)
     lam = energy_flat(M, flat, p) / mass_flat(M, flat, p)
     converged = False

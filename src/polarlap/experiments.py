@@ -177,7 +177,8 @@ def _with_p(cfg: Optional[SolverConfig], p: float) -> SolverConfig:
 
 def check_unit(v, name: str) -> None:
     """Raise ValueError unless the direction v has unit length (within 1e-9)."""
-    if abs(float(np.hypot(*np.asarray(v, dtype=float))) - 1.0) > 1e-9:
+    # written as not (... <= tol) so that NaN and infinite components fail
+    if not abs(float(np.hypot(*np.asarray(v, dtype=float))) - 1.0) <= 1e-9:
         raise ValueError(f"{name} must be a unit vector")
 
 

@@ -152,8 +152,11 @@ class Polarizer:
         n = (float(self.normal[0]), float(self.normal[1]))
         object.__setattr__(self, "normal", n)
         object.__setattr__(self, "offset", float(self.offset))
-        if abs(math.hypot(*n) - 1.0) > 1e-12:
+        # written as not (... <= tol) so that NaN and infinite components fail
+        if not abs(math.hypot(*n) - 1.0) <= 1e-12:
             raise ValueError("polarizer normal must be a unit vector (within 1e-12)")
+        if not math.isfinite(self.offset):
+            raise ValueError("polarizer offset must be finite")
 
     def reflect(self, x) -> np.ndarray:
         """Mirror image of x across the boundary line of H (any unit normal)."""
@@ -466,6 +469,8 @@ def fss_polarizer_pool(a, eta, grid: Grid) -> list[Polarizer]:
     """
     a = np.asarray(a, dtype=float)
     eta = np.asarray(eta, dtype=float)
+    if not (np.isfinite(a).all() and np.isfinite(eta).all()):
+        raise ValueError("pool point and direction must be finite")
     pool = []
     for normal, _, _ in _NORMALS:
         n = np.array(normal)

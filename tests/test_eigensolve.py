@@ -21,6 +21,7 @@ from polarlap.discretize import triangulate
 from polarlap.eigensolve import (
     EigenResult,
     _Assembler,
+    _TwoGrid,
     _mass_normalize,
     SolverConfig,
     check_weak_form,
@@ -236,11 +237,84 @@ def test_cg_failure_is_not_converged(monkeypatch):
     assert res.outer_iters == 50
 
 
+def test_newton_cg_failure_is_not_converged(monkeypatch):
+    # at p > 2 a step counts as converged only if its Newton PCG solves
+    # met their rtol as well
+    import scipy.sparse.linalg as spla
+    cg = spla.cg
+
+    def failing(*args, **kwargs):
+        y, _ = cg(*args, **kwargs)
+        return y, 1
+
+    monkeypatch.setattr(spla, "cg", failing)
+    res = solve(_annulus_mesh(16), SolverConfig(p=3.0, max_outer=50))
+    assert res.converged is False
+    assert res.outer_iters == 50
+
+
 def test_solve_p16_small_mesh():
     mesh = _annulus_mesh(12)
     res = solve_p(mesh, SolverConfig(p=1.6, inner_tol=1e-8, max_inner=20000))
     assert res.converged
     _check_result_invariants(mesh, res, 1.6)
+
+
+# ---------------------------------------------------------------------------
+# two-grid preconditioner
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def ref_stiffness():
+    # unit disk minus a closed r = 0.3 disk, both Dirichlet, spacing 1/64
+    g = Grid((-1.03125, -1.03125), 1.0 / 64, 132, 132)
+    outer = rasterize(Disk((0.0, 0.0), 1.0), g)
+    hole = rasterize(Disk((0.0, 0.0), 0.3, closed=True), g)
+    mesh = triangulate(PuncturedDomain(outer, (hole,)))
+    return mesh, _Assembler(mesh).stiffness()
+
+
+def test_two_grid_symmetric_positive(ref_stiffness, rng):
+    mesh, K = ref_stiffness
+    T = _TwoGrid(mesh, K)
+    for _ in range(5):
+        a, b = rng.standard_normal((2, mesh.n_free))
+        Ta, Tb = T.matvec(a), T.matvec(b)
+        assert abs(a @ Tb - b @ Ta) <= 1e-12 * np.linalg.norm(a) * np.linalg.norm(Tb)
+        assert a @ Ta > 0.0
+
+
+def test_two_grid_cold_solve_iterations(ref_stiffness, rng):
+    # plain CG takes about 400 steps on this system; the two-grid about 30
+    import scipy.sparse.linalg as spla
+    mesh, K = ref_stiffness
+    b = rng.standard_normal(mesh.n_free)
+    steps = []
+    y, info = spla.cg(K, b, rtol=1e-12, atol=0.0, M=_TwoGrid(mesh, K),
+                      callback=lambda _: steps.append(1))
+    assert info == 0
+    assert len(steps) <= 60
+    assert np.linalg.norm(K @ y - b) <= 1e-12 * np.linalg.norm(b)
+
+
+@pytest.mark.parametrize("p", [2.0, 3.0])
+def test_no_fine_factor_at_p_ge_2(monkeypatch, p):
+    # only coarse two-grid matrices are factored at p >= 2
+    import scipy.sparse.linalg as spla
+    splu = spla.splu
+    rows = []
+
+    def recording(A, *args, **kwargs):
+        rows.append(A.shape[0])
+        return splu(A, *args, **kwargs)
+
+    monkeypatch.setattr(spla, "splu", recording)
+    mesh = _annulus_mesh(32)
+    res = solve(mesh, SolverConfig(p=p))
+    assert res.converged
+    assert rows
+    assert max(rows) < mesh.n_free // 8
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@ from polarlap.geometry import (
     PuncturedDomain,
     Rhombus,
     UnionShape,
+    fss_polarizer_pool,
     rasterize,
 )
 from polarlap.discretize import triangulate
@@ -28,6 +29,7 @@ from polarlap.eigensolve import SolverConfig, solve_p2
 from polarlap.experiments import (
     annulus_study,
     build_sweep,
+    check_unit,
     fk_check,
     rotate_sweep,
     symmetry_check,
@@ -179,6 +181,21 @@ def test_translate_assumption_violations():
     with pytest.raises(AssumptionViolated):
         translate_sweep(Disk((0.0, 0.0), 0.5), Disk((0.0, 0.0), 0.1, closed=True),
                         (1.0, 0.0), [0.0, 1.37 * d], 2.0, g)
+
+
+def test_non_finite_directions_rejected():
+    # NaN compares False against every tolerance, so each check must be
+    # written to fail on it rather than to pass
+    nan, inf = math.nan, math.inf
+    for v in ((nan, 0.0), (0.0, nan), (inf, 0.0), (inf, nan)):
+        with pytest.raises(ValueError):
+            check_unit(v, "translation direction")
+        with pytest.raises(ValueError):
+            Polarizer(v, 0.0)
+        with pytest.raises(ValueError):
+            fss_polarizer_pool((0.0, 0.0), v, Grid((-1.0, -1.0), 0.125, 16, 16))
+    with pytest.raises(ValueError):
+        Polarizer((1.0, 0.0), nan)
 
 
 # ---------------------------------------------------------------------------
