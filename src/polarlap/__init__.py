@@ -39,8 +39,8 @@ from .rearrange import (
     polarize_function,
     support_set,
 )
-from .discretize import TriMesh, classify_boundaries, energy_p, grad_energy_p, grad_mass_p, mass_p, triangulate
-from .eigensolve import EigenResult, SolverConfig, check_weak_form, rayleigh, solve, solve_p, solve_p2
+from .discretize import TriMesh, energy_p, grad_energy_p, grad_mass_p, mass_p, triangulate
+from .eigensolve import EigenResult, SolverConfig, check_weak_form, rayleigh, solve
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

@@ -12,79 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
-from .errors import DirichletViolation, MalformedDomain
-from .geometry import DIRICHLET, Grid, PuncturedDomain, RasterSet, _CONN4
+from .errors import DirichletViolation
+from .geometry import Grid, PuncturedDomain, RasterSet
 from .rearrange import GridFunction, _node_incidence
-
-
-@dataclass(frozen=True)
-class BoundaryClassification:
-    """Boundary edges of the free region grouped by complement component."""
-
-    outer_edges: tuple
-    hole_edges: tuple          # one edge tuple per hole
-    hole_bcs: tuple            # boundary label per hole
-    outer_bc: str
-
-
-def classify_boundaries(D: PuncturedDomain) -> BoundaryClassification:
-    """Partition free-region boundary edges by flood fill of the complement.
-
-    Edges facing the unbounded complement component form the outer family;
-    every bounded complement component (obstacle or pocket) contributes one
-    hole family.  Holes covered by an obstacle carry that obstacle's label,
-    pockets carry bc_inner.
-    """
-    grid = D.grid
-    free = D.free().mask
-    comp = np.pad(~free, 1, constant_values=True)
-    labels, n = ndimage.label(comp, structure=_CONN4)
-    unbounded = labels[0, 0]
-    inner = labels[1:-1, 1:-1]
-
-    hole_ids = sorted(set(np.unique(inner[~free]).tolist()) - {0, int(unbounded)})
-    hole_bc = {}
-    for k, ob in enumerate(D.obstacles):
-        ids = set(np.unique(inner[ob.mask]).tolist()) - {0}
-        if int(unbounded) in ids:
-            raise MalformedDomain(f"obstacle {k} touches the outer boundary")
-        for h in ids:
-            prev = hole_bc.get(h)
-            if prev is not None and prev != D.bc_obstacles[k]:
-                raise MalformedDomain(
-                    "complement component touches obstacles with different labels")
-            hole_bc[h] = D.bc_obstacles[k]
-
-    # neighbor component id for each cell side, aligned with free cells
-    north = labels[2:, 1:-1]
-    south = labels[:-2, 1:-1]
-    west = labels[1:-1, :-2]
-    east = labels[1:-1, 2:]
-
-    outer_edges = []
-    per_hole = {h: [] for h in hole_ids}
-
-    def emit(mask, comp_ids, edge_of):
-        ys, xs = np.nonzero(mask)
-        for iy, ix in zip(ys.tolist(), xs.tolist()):
-            cid = int(comp_ids[iy, ix])
-            e = edge_of(ix, iy)
-            if cid == unbounded:
-                outer_edges.append(e)
-            else:
-                per_hole[cid].append(e)
-
-    emit(free & (south > 0), south, lambda ix, iy: ((ix, iy), (ix + 1, iy)))
-    emit(free & (north > 0), north, lambda ix, iy: ((ix, iy + 1), (ix + 1, iy + 1)))
-    emit(free & (west > 0), west, lambda ix, iy: ((ix, iy), (ix, iy + 1)))
-    emit(free & (east > 0), east, lambda ix, iy: ((ix + 1, iy), (ix + 1, iy + 1)))
-
-    hole_edges = tuple(tuple(per_hole[h]) for h in hole_ids)
-    hole_bcs = tuple(hole_bc.get(h, D.bc_inner) for h in hole_ids)
-    return BoundaryClassification(tuple(outer_edges), hole_edges, hole_bcs,
-                                  D.bc_outer)
 
 
 @dataclass(frozen=True)
@@ -101,7 +32,6 @@ class TriMesh:
     free_nodes: np.ndarray       # sorted flat node ids
     free_index: np.ndarray       # (n_nodes,) compact index or -1
     mass_w: np.ndarray           # (n_nodes,) lumped weights
-    boundaries: BoundaryClassification
 
     def __post_init__(self):
         for name in ("tri_nodes", "grad_x", "grad_y", "dirichlet_nodes",
@@ -137,9 +67,14 @@ class TriMesh:
 
 
 def triangulate(D: PuncturedDomain) -> TriMesh:
-    """Mesh the free cells; Dirichlet nodes come from the labeled families."""
+    """Mesh the free cells and pin every node that touches both a free cell
+    and a cell of a Dirichlet boundary family.
+
+    The four cells around a node form a cycle of edge neighbours, and
+    neighbouring complement cells share a family, so this pins exactly the
+    endpoints of the free region's edges on Dirichlet families.
+    """
     grid = D.grid
-    cls = classify_boundaries(D)
     free = D.free().mask
     nx1 = grid.nx + 1
 
@@ -163,33 +98,22 @@ def triangulate(D: PuncturedDomain) -> TriMesh:
     grad_x[1::2] = (0.0, inv, -inv)
     grad_y[1::2] = (-inv, 0.0, inv)
 
-    dirichlet = set()
-
-    def pin(edges):
-        for (a, b) in edges:
-            dirichlet.add(a[1] * nx1 + a[0])
-            dirichlet.add(b[1] * nx1 + b[0])
-
-    if cls.outer_bc == DIRICHLET:
-        pin(cls.outer_edges)
-    for edges, bc in zip(cls.hole_edges, cls.hole_bcs):
-        if bc == DIRICHLET:
-            pin(edges)
-
-    active = (_node_incidence(free) > 0).ravel()
-    dirichlet_nodes = np.array(sorted(dirichlet), dtype=np.int64)
-    is_dir = np.zeros(active.size, dtype=bool)
-    is_dir[dirichlet_nodes] = True
-    free_nodes = np.flatnonzero(active & ~is_dir)
+    incidence = _node_incidence(free).ravel()
+    active = incidence > 0
+    # node (ix, iy) touches the padded cells [iy:iy+2, ix:ix+2]
+    dc = D.dirichlet_cells()
+    pinned = active & (dc[:-1, :-1] | dc[:-1, 1:] | dc[1:, :-1] | dc[1:, 1:]).ravel()
+    dirichlet_nodes = np.flatnonzero(pinned)
+    free_nodes = np.flatnonzero(active & ~pinned)
 
     free_index = np.full(active.size, -1, dtype=np.int64)
     free_index[free_nodes] = np.arange(free_nodes.size)
 
-    mass_w = (d * d / 4.0) * _node_incidence(free).ravel().astype(float)
+    mass_w = (d * d / 4.0) * incidence.astype(float)
 
     return TriMesh(grid, RasterSet(grid, free), tri_nodes, grad_x, grad_y,
                    d * d / 2.0, dirichlet_nodes, free_nodes, free_index,
-                   mass_w, cls)
+                   mass_w)
 
 
 def triangle_gradients(M: TriMesh, flat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -73,6 +73,9 @@ class SolverConfig:
         for name in ("outer_tol", "inner_tol", "smoothing_eps"):
             if not getattr(self, name) > 0.0:
                 raise ValueError(f"{name} must be positive")
+        for name in ("max_outer", "max_inner"):
+            if not getattr(self, name) >= 1:
+                raise ValueError(f"{name} must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -309,21 +312,6 @@ def _lobpcg(M: TriMesh, T: _TwoGrid, x: np.ndarray, cfg: SolverConfig
         bool(small())
 
 
-class _Laplacian:
-    """Solves with the free-node stiffness K: an LU factor at p < 2, else
-    two-grid PCG from x0 at rtol 1e-12, reporting whether it met that
-    tolerance.  At p = 2 LOBPCG uses only its two-grid."""
-
-    def __init__(self, M: TriMesh, K: sp.csr_matrix, p: float):
-        self.lu = spla.splu(K.tocsc()) if p < 2.0 else None
-        self.two_grid = _TwoGrid(M, K) if p >= 2.0 else None
-
-    def solve(self, b: np.ndarray, x0: np.ndarray) -> tuple[np.ndarray, bool]:
-        if self.lu is not None:
-            return self.lu.solve(b), True
-        return self.two_grid.cg(b, x0, 1e-12)
-
-
 def _mass_normalize(M: TriMesh, free_vals: np.ndarray, p: float) -> np.ndarray:
     m = mass_flat(M, M.embed(free_vals), p)
     if m <= 0.0:
@@ -331,14 +319,16 @@ def _mass_normalize(M: TriMesh, free_vals: np.ndarray, p: float) -> np.ndarray:
     return free_vals / m ** (1.0 / p)
 
 
-def _solve_inner(M: TriMesh, asm: _Assembler | None, lap: _Laplacian,
-                 w: np.ndarray, x: np.ndarray, first: bool,
-                 cfg: SolverConfig) -> tuple[np.ndarray, bool]:
+def _solve_inner(M: TriMesh, asm: _Assembler | None,
+                 lap: _TwoGrid | spla.SuperLU, w: np.ndarray, x: np.ndarray,
+                 first: bool, cfg: SolverConfig) -> tuple[np.ndarray, bool]:
     """Minimize energy_p(v)/p - <w, v> over the free nodes (p != 2);
     returns v and whether every linear solve on the way met its tolerance.
 
-    Descent starts from the Laplacian solve on the first outer step and
-    from the iterate x after that.  p > 2: damped Newton (the Hessian is
+    lap solves with the Laplacian: its two-grid cycle at p > 2, its LU
+    factor at p < 2.  Descent starts from the Laplacian solve of w on the
+    first outer step (two-grid PCG from x at rtol 1e-12) and from the
+    iterate x after that.  p > 2: damped Newton (the Hessian is
     bounded there), floored by smoothing_eps to stay definite on flat
     triangles; each Newton system is solved by PCG at rtol 1e-10 from 0
     with a two-grid built from the Hessian on the Laplacian's aggregates.
@@ -348,7 +338,12 @@ def _solve_inner(M: TriMesh, asm: _Assembler | None, lap: _Laplacian,
     (c = 1e-4, halving).
     """
     p = cfg.p
-    v, ok = lap.solve(w, x) if first else (x, True)
+    if not first:
+        v, ok = x, True
+    elif p < 2.0:
+        v, ok = lap.solve(w), True
+    else:
+        v, ok = lap.cg(w, x, 1e-12)
     smoothing = cfg.smoothing_eps if p < 2.0 else 0.0
 
     def fval(vec):
@@ -369,10 +364,10 @@ def _solve_inner(M: TriMesh, asm: _Assembler | None, lap: _Laplacian,
             fac = (p - 2.0) * d2 ** (0.5 * p - 2.0)
             q = tgx[:, None] * M.grad_x + tgy[:, None] * M.grad_y
             Kh = asm.stiffness(weights=wts, rank_one=(fac, q))
-            d, solved = lap.two_grid.for_matrix(Kh).cg(-g, None, 1e-10)
+            d, solved = lap.for_matrix(Kh).cg(-g, None, 1e-10)
             ok = ok and solved
         else:
-            d = -lap.lu.solve(g)
+            d = -lap.solve(g)
         slope = float(g @ d)
         if slope >= 0.0:
             d = -g
@@ -390,8 +385,9 @@ def _solve_inner(M: TriMesh, asm: _Assembler | None, lap: _Laplacian,
     return v, ok
 
 
-def _inverse_iteration(M: TriMesh, asm: _Assembler | None, lap: _Laplacian,
-                       x: np.ndarray, cfg: SolverConfig
+def _inverse_iteration(M: TriMesh, asm: _Assembler | None,
+                       lap: _TwoGrid | spla.SuperLU, x: np.ndarray,
+                       cfg: SolverConfig
                        ) -> tuple[np.ndarray, float, float, int, bool]:
     """Inverse iteration from the unit-mass x; returns the last iterate,
     its Rayleigh quotient and residual, the number of outer steps and
@@ -439,18 +435,15 @@ def solve(M: TriMesh, cfg: SolverConfig | None = None) -> EigenResult:
         # only Newton (p > 2) reassembles; holding the index tables through
         # the loop raised a p = 2 sweep's peak memory by 1 MB
         asm = None
-    lap = _Laplacian(M, K, p)
+    # the Laplacian's LU factor at p < 2, else its two-grid cycle
+    lap = spla.splu(K.tocsc()) if p < 2.0 else _TwoGrid(M, K)
     del K
     if p == 2.0:
-        x, lam, res, iters, converged = _lobpcg(M, lap.two_grid, x, cfg)
+        x, lam, res, iters, converged = _lobpcg(M, lap, x, cfg)
     else:
         x, lam, res, iters, converged = _inverse_iteration(M, asm, lap, x, cfg)
     return EigenResult(lam, M.function_from_flat(M.embed(x)), iters, res,
                        converged, p)
-
-
-# public names that callers and tests use for the one entry point
-solve_p = solve_p2 = solve
 
 
 def check_weak_form(M: TriMesh, r: EigenResult, trial_count: int,

@@ -794,12 +794,16 @@ class PuncturedDomain:
         outer = self.outer.mask
         if not outer.any():
             raise MalformedDomain("outer set is empty")
+        # cells whose four neighbours lie in the outer set; a cell on the
+        # window's border has a neighbour outside the window
+        core = ~_dilate4(~outer)
+        core[0] = core[-1] = core[:, 0] = core[:, -1] = False
         for k, ob in enumerate(self.obstacles):
             if ob.grid != g:
                 raise MalformedDomain("obstacle grid differs from outer grid")
             if ob.is_empty():
                 raise MalformedDomain(f"obstacle {k} is empty")
-            if not np.all(~_dilate4(ob.mask) | outer):
+            if np.any(ob.mask & ~core):
                 raise MalformedDomain(
                     f"obstacle {k} is not separated from the outer boundary "
                     "by a free cell ring")
@@ -815,27 +819,34 @@ class PuncturedDomain:
         n, _ = connected_components(RasterSet(g, free))
         if n != 1:
             raise MalformedDomain(f"free region has {n} components, expected 1")
-        if not self.allow_pure_neumann and not self._has_dirichlet():
+        # only pockets can still carry a Dirichlet label; label them only then
+        if not (self.allow_pure_neumann or self.bc_outer == DIRICHLET
+                or DIRICHLET in self.bc_obstacles
+                or self.dirichlet_cells().any()):
             raise MalformedDomain(
                 "no Dirichlet boundary family; pass allow_pure_neumann=True "
                 "to request the pure-Neumann problem")
 
-    def _has_dirichlet(self) -> bool:
-        if self.bc_outer == DIRICHLET:
-            return True
-        if any(bc == DIRICHLET for bc in self.bc_obstacles):
-            return True
-        return self.bc_inner == DIRICHLET and self._n_pockets() > 0
+    def dirichlet_cells(self) -> np.ndarray:
+        """Cells of the complement of the free region whose boundary family
+        is Dirichlet, as a mask of the grid padded by one cell on each side.
 
-    def _n_pockets(self) -> int:
-        comp = np.pad(~self.outer.mask, 1, constant_values=True)
-        labels, n = ndimage.label(comp, structure=_CONN4)
-        unbounded = labels[0, 0]
-        covered = set()
-        for ob in self.obstacles:
-            covered.update(np.unique(labels[1:-1, 1:-1][ob.mask]).tolist())
-        bounded = set(range(1, n + 1)) - {unbounded}
-        return len(bounded - covered)
+        The padded complement is split into edge-connected components: the
+        unbounded one carries bc_outer, one holding an obstacle's cells
+        carries that obstacle's label, and a pocket of the outer set carries
+        bc_inner.  The ring rule keeps every obstacle cell's neighbours free
+        or in the same obstacle, so no component holds two obstacles or
+        reaches the outer boundary.
+        """
+        labels, n = ndimage.label(np.pad(~self.free().mask, 1,
+                                         constant_values=True),
+                                  structure=_CONN4)
+        dirichlet = np.full(n + 1, self.bc_inner == DIRICHLET)
+        dirichlet[0] = False  # free cells
+        dirichlet[labels[0, 0]] = self.bc_outer == DIRICHLET
+        for ob, bc in zip(self.obstacles, self.bc_obstacles):
+            dirichlet[labels[1:-1, 1:-1][ob.mask]] = bc == DIRICHLET
+        return dirichlet[labels]
 
     @property
     def grid(self) -> Grid:

@@ -8,7 +8,15 @@ machinery inside the package, so they can arbitrate it.
 import numpy as np
 import pytest
 
-from polarlap.geometry import Grid, Polarizer, RasterSet
+from polarlap.errors import MalformedDomain
+from polarlap.geometry import (
+    DIRICHLET,
+    NEUMANN,
+    Grid,
+    Polarizer,
+    PuncturedDomain,
+    RasterSet,
+)
 
 
 def unit_grid(n: int) -> Grid:
@@ -147,6 +155,84 @@ def random_connected_raster(rng, grid: Grid) -> RasterSet:
         else:
             frontier.remove((iy, ix))
     return RasterSet(grid, m)
+
+
+def brute_dirichlet_nodes(D: PuncturedDomain) -> np.ndarray:
+    """Sorted flat ids of the endpoints of every edge between a free cell
+    and a complement cell on a Dirichlet family.
+
+    The complement, padded by one cell around the window, is flood-filled
+    cell by cell: the component holding a pad cell carries bc_outer, one
+    holding an obstacle's cell that obstacle's label, any other bc_inner.
+    """
+    free = D.free().mask
+    ny, nx = free.shape
+
+    def is_free(iy, ix):
+        return 0 <= iy < ny and 0 <= ix < nx and bool(free[iy, ix])
+
+    def label(iy, ix):
+        if not (0 <= iy < ny and 0 <= ix < nx):
+            return D.bc_outer
+        for ob, bc in zip(D.obstacles, D.bc_obstacles):
+            if ob.mask[iy, ix]:
+                return bc
+        return None
+
+    bc_of = {}
+    for start in [(iy, ix) for iy in range(-1, ny + 1)
+                  for ix in range(-1, nx + 1)]:
+        if start in bc_of or is_free(*start):
+            continue
+        comp, stack, bc = {start}, [start], None
+        while stack:
+            iy, ix = stack.pop()
+            bc = bc or label(iy, ix)
+            for c in ((iy + 1, ix), (iy - 1, ix), (iy, ix + 1), (iy, ix - 1)):
+                if (-1 <= c[0] <= ny and -1 <= c[1] <= nx and c not in comp
+                        and not is_free(*c)):
+                    comp.add(c)
+                    stack.append(c)
+        for c in comp:
+            bc_of[c] = bc or D.bc_inner
+
+    pinned = set()
+    for iy, ix in zip(*np.nonzero(free)):
+        iy, ix = int(iy), int(ix)
+        for nb, edge in (((iy - 1, ix), ((ix, iy), (ix + 1, iy))),
+                         ((iy + 1, ix), ((ix, iy + 1), (ix + 1, iy + 1))),
+                         ((iy, ix - 1), ((ix, iy), (ix, iy + 1))),
+                         ((iy, ix + 1), ((ix + 1, iy), (ix + 1, iy + 1)))):
+            if bc_of.get(nb) == DIRICHLET:
+                pinned.update(y * (nx + 1) + x for x, y in edge)
+    return np.array(sorted(pinned), dtype=np.int64)
+
+
+def random_punctured_domain(rng) -> PuncturedDomain:
+    """Random valid domain on 6 to 15 cells a side: an outer set with
+    random cells removed (pockets inside, notches at the rim), up to three
+    small obstacles inside a free ring, and random labels, pure Neumann
+    allowed half of the time.  Draws again until the domain validates."""
+    while True:
+        nx, ny = (int(v) for v in rng.integers(6, 16, size=2))
+        grid = Grid((0.0, 0.0), 1.0, nx, ny)
+        outer = rng.random((ny, nx)) > 0.15
+        obstacles = []
+        for _ in range(int(rng.integers(0, 4))):
+            iy, ix = int(rng.integers(1, ny - 2)), int(rng.integers(1, nx - 2))
+            ob = np.zeros((ny, nx), bool)
+            ob[iy:iy + 2, ix:ix + 2] = rng.random((2, 2)) < 0.6
+            ob[iy, ix] = True
+            outer[iy - 1:iy + 3, ix - 1:ix + 3] = True  # the free ring
+            obstacles.append(RasterSet(grid, ob))
+        labels = rng.choice([DIRICHLET, NEUMANN], size=2 + len(obstacles))
+        try:
+            return PuncturedDomain(
+                RasterSet(grid, outer), tuple(obstacles), str(labels[0]),
+                str(labels[1]), tuple(str(b) for b in labels[2:]),
+                allow_pure_neumann=bool(rng.random() < 0.5))
+        except MalformedDomain:
+            continue
 
 
 @pytest.fixture

@@ -50,7 +50,7 @@ from polarlap.discretize import (
     mass_p,
     triangulate,
 )
-from polarlap.eigensolve import solve, solve_p2
+from polarlap.eigensolve import solve
 from polarlap.experiments import (
     annulus_study,
     fk_check,
@@ -215,7 +215,7 @@ def test_criterion_03_solver_oracles():
     t1 = time.time()
     g = Grid((0.0, 0.0), 1.0 / 64, 64, 64)
     sq = rasterize(Rectangle((0, 0), (1, 1), closed=True), g)
-    res_sq = solve_p2(triangulate(PuncturedDomain(sq, ())))
+    res_sq = solve(triangulate(PuncturedDomain(sq, ())))
     t_sq = time.time() - t1
     exact_sq = 2.0 * math.pi ** 2
     err_sq = abs(res_sq.lam - exact_sq) / exact_sq
@@ -224,14 +224,14 @@ def test_criterion_03_solver_oracles():
     t1 = time.time()
     gd = _grid64()
     disk = rasterize(Disk((0.0, 0.0), 1.0), gd)
-    res_dk = solve_p2(triangulate(PuncturedDomain(disk, ())))
+    res_dk = solve(triangulate(PuncturedDomain(disk, ())))
     t_dk = time.time() - t1
     exact_dk = jn_zeros(0, 1)[0] ** 2
     err_dk = abs(res_dk.lam - exact_dk) / exact_dk
 
     # pure-Neumann square
     t1 = time.time()
-    res_nm = solve_p2(triangulate(PuncturedDomain(
+    res_nm = solve(triangulate(PuncturedDomain(
         sq, (), bc_outer=NEUMANN, allow_pure_neumann=True)))
     t_nm = time.time() - t1
 

@@ -343,6 +343,8 @@ MALFORMED_BASES = {
     ("symmetry", "symmetry.axis", ["q", 0], "symmetry.axis"),
     ("symmetry", "symmetry.axis", [5, 0], "symmetry.axis"),
     ("symmetry", "symmetry.axis", [0, 0], "symmetry.axis"),
+    ("translate", "solver.max_inner", 0, "solver"),
+    ("translate", "solver.max_outer", -3, "solver"),
     ("solve", "--p", "0.5", "--p"),
     ("solve", "--grid-n", "0", "--grid-n"),
     ("solve", "--grid-n", "1", "--grid-n"),

@@ -1,7 +1,8 @@
-"""Mesh construction, boundary classification, energies and their gradients."""
+"""Mesh construction, Dirichlet nodes, energies and their gradients."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from polarlap.errors import DirichletViolation
 from polarlap.geometry import (
@@ -15,7 +16,6 @@ from polarlap.geometry import (
     rasterize,
 )
 from polarlap.discretize import (
-    classify_boundaries,
     energy_p,
     grad_energy_p,
     grad_mass_p,
@@ -23,7 +23,12 @@ from polarlap.discretize import (
     mesh_dump,
     triangulate,
 )
-from conftest import centered_grid, unit_grid
+from conftest import (
+    brute_dirichlet_nodes,
+    centered_grid,
+    random_punctured_domain,
+    unit_grid,
+)
 
 
 def _square_domain(n, bc=DIRICHLET, allow_pn=False):
@@ -51,29 +56,51 @@ def _free_fn(mesh, rng, scale=1.0):
 
 
 # ---------------------------------------------------------------------------
-# boundary classification
+# Dirichlet nodes against the edge-rule oracle
 # ---------------------------------------------------------------------------
 
 
-def test_classify_annulus():
-    cls = classify_boundaries(_annulus_domain(24))
-    assert len(cls.hole_edges) == 1
-    assert len(cls.outer_edges) > 0
-
-
-def test_classify_three_obstacles():
+def _three_obstacle_domain():
     g = centered_grid(32, 0.5)
     outer = rasterize(Disk((0.0, 0.0), 0.45), g)
     obs = tuple(rasterize(Disk(c, 0.07, closed=True), g)
                 for c in ((0.2, 0.0), (-0.1, 0.17), (-0.1, -0.17)))
-    D = PuncturedDomain(outer, obs)
-    cls = classify_boundaries(D)
-    assert len(cls.hole_edges) == 3
+    return PuncturedDomain(outer, obs, bc_obstacles=(DIRICHLET, NEUMANN,
+                                                     DIRICHLET))
 
 
-def test_classify_simply_connected():
-    cls = classify_boundaries(_square_domain(8))
-    assert len(cls.hole_edges) == 0
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_dirichlet_nodes_match_edge_rule(seed):
+    D = random_punctured_domain(np.random.default_rng(seed))
+    assert np.array_equal(triangulate(D).dirichlet_nodes,
+                          brute_dirichlet_nodes(D))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: _annulus_domain(24),
+    lambda: _annulus_domain(24, bc_inner=NEUMANN),
+    _three_obstacle_domain,
+    lambda: _square_domain(8),
+], ids=["annulus", "annulus_neumann_hole", "three_obstacles", "square"])
+def test_dirichlet_nodes_match_edge_rule_on_shapes(make):
+    D = make()
+    assert np.array_equal(triangulate(D).dirichlet_nodes,
+                          brute_dirichlet_nodes(D))
+
+
+def test_pocket_rim_is_pinned():
+    g = unit_grid(8)
+    outer = np.ones((8, 8), bool)
+    outer[4, 3] = False  # a pocket: one bounded cell of the complement
+    D = PuncturedDomain(RasterSet(g, outer), (), bc_outer=NEUMANN,
+                        bc_inner=DIRICHLET)
+    m = triangulate(D)
+    rim = [m.node_id(ix, iy) for iy in (4, 5) for ix in (3, 4)]
+    assert m.dirichlet_nodes.tolist() == rim
+    D = PuncturedDomain(RasterSet(g, outer), (), bc_outer=NEUMANN,
+                        bc_inner=NEUMANN, allow_pure_neumann=True)
+    assert triangulate(D).dirichlet_nodes.size == 0
 
 
 # ---------------------------------------------------------------------------

@@ -28,8 +28,6 @@ from polarlap.eigensolve import (
     check_weak_form,
     rayleigh,
     solve,
-    solve_p,
-    solve_p2,
 )
 
 from conftest import centered_grid, unit_grid
@@ -65,28 +63,28 @@ def _annulus_mesh(n, R=0.55, r=0.15, center=(0.0, 0.0), bc_inner=DIRICHLET):
 
 
 def test_square_dirichlet_eigenvalue():
-    res = solve_p2(_square_mesh(32))
+    res = solve(_square_mesh(32))
     exact = 2.0 * math.pi ** 2  # separation of variables
     assert res.converged
     assert abs(res.lam - exact) / exact < 0.01
 
 
 def test_disk_dirichlet_eigenvalue():
-    res = solve_p2(_disk_mesh(32))
+    res = solve(_disk_mesh(32))
     exact = jn_zeros(0, 1)[0] ** 2  # square of the first Bessel J0 zero
     assert res.converged
     assert abs(res.lam - exact) / exact < 0.025
 
 
 def test_pure_neumann_square():
-    res = solve_p2(_square_mesh(16, bc=NEUMANN, allow_pn=True))
+    res = solve(_square_mesh(16, bc=NEUMANN, allow_pn=True))
     assert res.lam <= 1e-8
     v = res.u.values
     assert np.ptp(v) <= 1e-12 * max(1.0, abs(v).max())  # constant profile
 
 
 def test_pure_neumann_p3():
-    res = solve_p(_square_mesh(16, bc=NEUMANN, allow_pn=True),
+    res = solve(_square_mesh(16, bc=NEUMANN, allow_pn=True),
                   SolverConfig(p=3.0))
     assert res.lam <= 1e-8
 
@@ -109,13 +107,13 @@ def _check_result_invariants(mesh, res, p):
 
 def test_result_invariants_p2():
     mesh = _annulus_mesh(24)
-    res = solve_p2(mesh)
+    res = solve(mesh)
     _check_result_invariants(mesh, res, 2.0)
 
 
 def test_result_invariants_p3():
     mesh = _annulus_mesh(24)
-    res = solve_p(mesh, SolverConfig(p=3.0))
+    res = solve(mesh, SolverConfig(p=3.0))
     _check_result_invariants(mesh, res, 3.0)
 
 
@@ -126,7 +124,7 @@ def test_result_invariants_p3():
 
 def test_rayleigh_consistency_with_solver():
     mesh = _annulus_mesh(20)
-    res = solve_p2(mesh)
+    res = solve(mesh)
     assert rayleigh(mesh, res.u, 2.0) == pytest.approx(res.lam, rel=1e-10)
 
 
@@ -161,7 +159,7 @@ def test_no_free_nodes_raises():
     mesh = triangulate(PuncturedDomain(RasterSet(g, m), ()))
     assert mesh.n_free == 0
     with pytest.raises(NoFreeNodes):
-        solve_p2(mesh)
+        solve(mesh)
 
 
 # ---------------------------------------------------------------------------
@@ -201,7 +199,7 @@ def test_lambda_continuous_in_p():
     mesh = _annulus_mesh(16)
     lams = []
     for p in (2.0, 2.05, 2.1, 2.15, 2.2):
-        lams.append(solve_p(mesh, SolverConfig(p=p)).lam)
+        lams.append(solve(mesh, SolverConfig(p=p)).lam)
     for a, b in zip(lams, lams[1:]):
         assert abs(b - a) / a < 0.20  # no jumps along the p-sampling
 
@@ -221,6 +219,14 @@ def test_hot_loop_builds_no_grid_functions(monkeypatch):
     mesh = _annulus_mesh(12)
     solve(mesh, SolverConfig(p=1.5, max_outer=3))
     assert len(built) < 10
+
+
+@pytest.mark.parametrize("field, value", [
+    ("max_outer", 0), ("max_outer", -3), ("max_inner", 0),
+])
+def test_solver_config_rejects_step_limit_below_one(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be at least 1"):
+        SolverConfig(**{field: value})
 
 
 def test_lobpcg_step_limit_is_not_converged():
@@ -292,7 +298,7 @@ def test_newton_cg_failure_is_not_converged(monkeypatch):
 
 def test_solve_p16_small_mesh():
     mesh = _annulus_mesh(12)
-    res = solve_p(mesh, SolverConfig(p=1.6, inner_tol=1e-8, max_inner=20000))
+    res = solve(mesh, SolverConfig(p=1.6, inner_tol=1e-8, max_inner=20000))
     assert res.converged
     _check_result_invariants(mesh, res, 1.6)
 
@@ -398,7 +404,7 @@ def test_weak_form_pairing_with_eigenfunction_is_zero():
     # testing against u itself reproduces the Rayleigh identity exactly
     from polarlap.discretize import grad_energy_p, grad_mass_p
     mesh = _annulus_mesh(16)
-    res = solve_p2(mesh)
+    res = solve(mesh)
     g = grad_energy_p(mesh, res.u, 2.0) - res.lam * grad_mass_p(mesh, res.u, 2.0)
     ufree = mesh.flat_values(res.u)[mesh.free_nodes]
     assert abs(float(g @ ufree)) < 1e-10 * res.lam
@@ -416,13 +422,13 @@ def test_weak_form_defect_p2_exact_pair():
 
 def test_weak_form_defect_p2_solver_result():
     mesh = _annulus_mesh(16)
-    res = solve_p2(mesh, SolverConfig(p=2.0, outer_tol=1e-13))
+    res = solve(mesh, SolverConfig(p=2.0, outer_tol=1e-13))
     assert check_weak_form(mesh, res, 20) < 1e-6 * res.lam
 
 
 def test_weak_form_defect_p3():
     mesh = _annulus_mesh(16)
-    res = solve_p(mesh, SolverConfig(p=3.0, outer_tol=1e-13))
+    res = solve(mesh, SolverConfig(p=3.0, outer_tol=1e-13))
     assert res.converged
     assert check_weak_form(mesh, res, 50) < 1e-6 * res.lam
 
@@ -463,7 +469,7 @@ def test_axis_reflection_isometry_p2():
     g = centered_grid(24, 0.5)
     m1 = triangulate(PuncturedDomain(rasterize(Disk((0.07, 0.03), 0.3), g), ()))
     m2 = triangulate(PuncturedDomain(rasterize(Disk((-0.07, 0.03), 0.3), g), ()))
-    r1, r2 = solve_p2(m1), solve_p2(m2)
+    r1, r2 = solve(m1), solve(m2)
     assert abs(r1.lam - r2.lam) / r1.lam < 1e-9
 
 
@@ -474,8 +480,8 @@ def test_diagonal_reflection_isometry_p3():
     cfg = SolverConfig(p=3.0)
     m1 = triangulate(PuncturedDomain(rasterize(Disk((0.15, 0.05), 0.22), g), ()))
     m2 = triangulate(PuncturedDomain(rasterize(Disk((0.05, 0.15), 0.22), g), ()))
-    r1 = solve_p(m1, cfg)
-    r2 = solve_p(m2, cfg)
+    r1 = solve(m1, cfg)
+    r2 = solve(m2, cfg)
     assert abs(r1.lam - r2.lam) / r1.lam < 1e-9
 
 
@@ -486,7 +492,7 @@ def test_axis_reflection_defect_p3_measured():
     cfg = SolverConfig(p=3.0)
     m1 = triangulate(PuncturedDomain(rasterize(Disk((0.07, 0.03), 0.3), g), ()))
     m2 = triangulate(PuncturedDomain(rasterize(Disk((-0.07, 0.03), 0.3), g), ()))
-    r1 = solve_p(m1, cfg)
-    r2 = solve_p(m2, cfg)
+    r1 = solve(m1, cfg)
+    r2 = solve(m2, cfg)
     defect = abs(r1.lam - r2.lam) / r1.lam
     assert defect < 0.05  # present but bounded at this resolution

@@ -25,7 +25,7 @@ from polarlap.geometry import (
     rasterize,
 )
 from polarlap.discretize import triangulate
-from polarlap.eigensolve import SolverConfig, solve_p2
+from polarlap.eigensolve import SolverConfig, solve
 from polarlap.experiments import (
     annulus_study,
     build_sweep,
@@ -387,7 +387,7 @@ def test_symmetry_eccentric_annulus():
 def test_symmetry_unit_disk_bessel_profile():
     g = _rotate_grid()
     D = PuncturedDomain(rasterize(Disk((0.0, 0.0), 1.0), g), ())
-    res = solve_p2(triangulate(D))
+    res = solve(triangulate(D))
     X, Y = g.node_coords()
     rr = np.sqrt(X ** 2 + Y ** 2)
     prof = np.where(rr <= 1.0, j0(jn_zeros(0, 1)[0] * np.minimum(rr, 1.0)), 0.0)

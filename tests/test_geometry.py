@@ -311,6 +311,31 @@ def test_punctured_domain_invariants():
     PuncturedDomain(outer, (), bc_outer="neumann", allow_pure_neumann=True)
 
 
+def test_obstacle_in_window_edge_row_rejected():
+    # a full outer raster reaches the window edge, so an obstacle in the
+    # edge row has no free cell ring on its outer side
+    g = unit_grid(10)
+    ob = np.zeros((10, 10), bool)
+    ob[0, 5] = True
+    with pytest.raises(MalformedDomain, match="free cell ring"):
+        PuncturedDomain(RasterSet(g, np.ones((10, 10), bool)),
+                        (RasterSet(g, ob),))
+
+
+def test_pocket_labels_decide_pure_neumann():
+    # a Neumann outer set with one pocket has a Dirichlet family only
+    # through bc_inner, the pocket's label
+    g = unit_grid(8)
+    outer = np.ones((8, 8), bool)
+    outer[4, 3] = False
+    A = RasterSet(g, outer)
+    PuncturedDomain(A, (), bc_outer="neumann", bc_inner="dirichlet")
+    with pytest.raises(MalformedDomain, match="no Dirichlet boundary family"):
+        PuncturedDomain(A, (), bc_outer="neumann", bc_inner="neumann")
+    PuncturedDomain(A, (), bc_outer="neumann", bc_inner="neumann",
+                    allow_pure_neumann=True)
+
+
 def test_punctured_domain_disconnected_rejected():
     g = unit_grid(8)
     m = np.zeros((8, 8), bool)
