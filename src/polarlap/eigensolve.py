@@ -17,8 +17,13 @@ At p != 2 the driver is Biezuner-Ercole-Martins inverse iteration: each
 outer step solves the convex problem min_v energy_p(v)/p - <w, v> with w
 the lumped p-force of the previous iterate, takes |v|, renormalizes, and
 re-evaluates the Rayleigh quotient.  inner_tol, max_inner and
-smoothing_eps apply only here.  A nonlinear analogue of the LOBPCG step
-at p = 3 stalled near a 3e-5 residual.
+smoothing_eps apply only here.  Each inner solve starts on the exact
+minimizer along the ray through its start, which scales the unit-mass
+iterate by about lam^(-1/(p-1)) and is already the inner solution at an
+eigenfunction; it stops at inner_tol or at the rounding floor of the
+objective, and one that runs out of steps leaves its outer step
+unconverged.  A nonlinear analogue of the LOBPCG step at p = 3 stalled
+near a 3e-5 residual.
 
 Every symmetric positive definite solve at p >= 2 is preconditioned by a
 two-grid smoothed-aggregation cycle (`_TwoGrid`): LOBPCG applies it once
@@ -323,12 +328,16 @@ def _solve_inner(M: TriMesh, asm: _Assembler | None,
                  lap: _TwoGrid | spla.SuperLU, w: np.ndarray, x: np.ndarray,
                  first: bool, cfg: SolverConfig) -> tuple[np.ndarray, bool]:
     """Minimize energy_p(v)/p - <w, v> over the free nodes (p != 2);
-    returns v and whether every linear solve on the way met its tolerance.
+    returns v and whether the descent finished with every linear solve on
+    the way meeting its tolerance.
 
     lap solves with the Laplacian: its two-grid cycle at p > 2, its LU
-    factor at p < 2.  Descent starts from the Laplacian solve of w on the
-    first outer step (two-grid PCG from x at rtol 1e-12) and from the
-    iterate x after that.  p > 2: damped Newton (the Hessian is
+    factor at p < 2.  The start is the Laplacian solve of w on the first
+    outer step (two-grid PCG from x at rtol 1e-12) and the iterate x after
+    that, rescaled to the exact minimizer on its ray: energy_p is
+    p-homogeneous, so f(s v) is least at s^(p-1) = <w, v> / energy_p(v).
+    At an eigenfunction that is the inner solution, so the fixed point of
+    the outer iteration is unchanged.  p > 2: damped Newton (the Hessian is
     bounded there), floored by smoothing_eps to stay definite on flat
     triangles; each Newton system is solved by PCG at rtol 1e-10 from 0
     with a two-grid built from the Hessian on the Laplacian's aggregates.
@@ -336,6 +345,12 @@ def _solve_inner(M: TriMesh, asm: _Assembler | None,
     smoothing_eps guarding the |g|^(p-2) factor; the Hessian is unbounded at
     flat gradients and is never formed.  All steps use Armijo backtracking
     (c = 1e-4, halving).
+
+    The descent is finished when the gradient is below inner_tol, or when
+    an accepted step leaves f no lower: the Armijo decrease is then below
+    the rounding of f, and further steps only halve t 30 times each.  At
+    p < 2 that floor is usually reached first.  Running out of max_inner
+    steps, or 60 halvings without an acceptable step, is unfinished.
     """
     p = cfg.p
     if not first:
@@ -349,6 +364,8 @@ def _solve_inner(M: TriMesh, asm: _Assembler | None,
     def fval(vec):
         return energy_flat(M, M.embed(vec), p) / p - float(w @ vec)
 
+    # the exact minimizer on the ray through v (energy_p is p-homogeneous)
+    v = v * (float(w @ v) / energy_flat(M, M.embed(v), p)) ** (1.0 / (p - 1.0))
     f = fval(v)
     for _ in range(cfg.max_inner):
         flat = M.embed(v)
@@ -379,9 +396,14 @@ def _solve_inner(M: TriMesh, asm: _Assembler | None,
                 break
             t *= 0.5
         else:
+            ok = False  # no step passes Armijo
             break
         v = v + t * d
+        if not f_new < f:
+            break  # the decrease is below the rounding of f
         f = f_new
+    else:
+        ok = False  # max_inner steps did not finish the descent
     return v, ok
 
 

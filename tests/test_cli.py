@@ -1,6 +1,7 @@
 """Config parsing, round-trips, scenario runs, output formats, determinism."""
 
 import json
+import time
 from dataclasses import fields
 from pathlib import Path
 
@@ -186,6 +187,26 @@ def test_run_translate_sweep(tmp_path):
     verdict = json.loads((tmp_path / "verdict.json").read_text())
     assert verdict["direction"] == "decreasing"
     assert (tmp_path / "sweep.svg").exists()
+
+
+@pytest.mark.parametrize("p", ["1.6", "1.75"])
+def test_translate_sweep_below_p2_at_spacing_1_32(tmp_path, p):
+    # the shipped translate geometry at spacing 1/32, inside the paper's
+    # strict range p > 1.5.  Each sweep takes about 6 s (p = 1.6) and 3 s
+    # (p = 1.75) on a 2-core host; without the inner solve's rounding-floor
+    # exit the p = 1.75 sweep ran for more than 150 s.
+    t0 = time.perf_counter()
+    code = main(["translate-sweep", "--config",
+                 str(CONFIG_DIR / "translate_sweep_disk.cfg"),
+                 "--out", str(tmp_path), "--p", p, "--grid-n", "66"])
+    seconds = time.perf_counter() - t0
+    assert code == 0
+    verdict = json.loads((tmp_path / "verdict.json").read_text())
+    assert all(verdict["converged"])
+    assert verdict["direction"] == "decreasing"
+    assert all(r <= 1e-5 * lam for r, lam in zip(verdict["residuals"],
+                                                 verdict["lambdas"]))
+    assert seconds < 60.0
 
 
 def test_run_rotate_radial_constant_verdict(tmp_path):

@@ -298,9 +298,34 @@ def test_newton_cg_failure_is_not_converged(monkeypatch):
 
 def test_solve_p16_small_mesh():
     mesh = _annulus_mesh(12)
-    res = solve(mesh, SolverConfig(p=1.6, inner_tol=1e-8, max_inner=20000))
+    res = solve(mesh, SolverConfig(p=1.6))
     assert res.converged
     _check_result_invariants(mesh, res, 1.6)
+
+
+@pytest.mark.parametrize("p, max_outer", [(1.5, 15), (3.0, 30)])
+def test_unfinished_inner_solve_is_not_converged(p, max_outer):
+    # With one descent step per inner solve, lam moves by less than
+    # outer_tol after 9 outer steps at p = 1.5 and 22 at p = 3, with the
+    # residual still near 1e-3.  Those inner solves were cut short, so
+    # those steps may not end the solve.  It converges only once a single
+    # step finishes an inner solve, after 25 and 50 outer steps.
+    res = solve(_annulus_mesh(12),
+                SolverConfig(p=p, max_inner=1, max_outer=max_outer))
+    assert res.converged is False
+    assert res.outer_iters == max_outer
+
+
+def test_armijo_failure_is_not_converged(monkeypatch):
+    # a NaN gradient (as after an overflow) leaves no step that passes
+    # Armijo; the iterate then never moves, so lam stands still, and only
+    # the unfinished inner solve keeps the outer step from converging
+    from polarlap import eigensolve
+    monkeypatch.setattr(eigensolve, "grad_energy_flat",
+                        lambda M, flat, *args: np.full(M.n_free, np.nan))
+    res = solve(_annulus_mesh(12), SolverConfig(p=1.5, max_outer=5))
+    assert res.converged is False
+    assert res.outer_iters == 5
 
 
 # ---------------------------------------------------------------------------
@@ -308,13 +333,18 @@ def test_solve_p16_small_mesh():
 # ---------------------------------------------------------------------------
 
 
-@pytest.fixture(scope="module")
-def ref_stiffness():
-    # unit disk minus a closed r = 0.3 disk, both Dirichlet, spacing 1/64
-    g = Grid((-1.03125, -1.03125), 1.0 / 64, 132, 132)
+def _ref_annulus_mesh(n):
+    # unit disk minus a closed r = 0.3 disk, both Dirichlet, on n x n cells
+    # of the window [-1.03125, 1.03125]^2 (spacing 1/64 at n = 132)
+    g = Grid((-1.03125, -1.03125), 2.0625 / n, n, n)
     outer = rasterize(Disk((0.0, 0.0), 1.0), g)
     hole = rasterize(Disk((0.0, 0.0), 0.3, closed=True), g)
-    mesh = triangulate(PuncturedDomain(outer, (hole,)))
+    return triangulate(PuncturedDomain(outer, (hole,)))
+
+
+@pytest.fixture(scope="module")
+def ref_stiffness():
+    mesh = _ref_annulus_mesh(132)
     return mesh, _Assembler(mesh).stiffness()
 
 
@@ -393,6 +423,48 @@ def test_no_fine_factor_at_p_ge_2(monkeypatch, p):
     assert res.converged
     assert rows
     assert max(rows) < mesh.n_free // 8
+
+
+# ---------------------------------------------------------------------------
+# work per p != 2 solve
+# ---------------------------------------------------------------------------
+
+
+def test_p15_descent_stops_at_rounding_floor(monkeypatch):
+    # the descent stops once an accepted step leaves the objective no
+    # lower (about 1,200 evaluations here); steps past that floor each
+    # halve the line search 30 times, and 5000 of them cost 155,270
+    from polarlap import eigensolve
+    energy_flat = eigensolve.energy_flat
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return energy_flat(*args)
+
+    monkeypatch.setattr(eigensolve, "energy_flat", counted)
+    res = solve(_ref_annulus_mesh(12), SolverConfig(p=1.5))
+    assert res.converged
+    assert len(calls) <= 5000
+    assert abs(res.lam - 11.558135218644999) <= 1e-10 * res.lam
+
+
+def test_p3_newton_starts_on_ray_minimizer(monkeypatch, ref_stiffness):
+    # each inner solve starts at the scale lam^(-1/(p-1)) of its minimizer
+    # (about 42 Hessians in 20 outer steps); from the unit-mass iterate
+    # Newton spends six steps per outer step recovering it (126)
+    stiffness = _Assembler.stiffness
+    calls = []
+
+    def counted(self, *args, **kwargs):
+        calls.append(1)
+        return stiffness(self, *args, **kwargs)
+
+    monkeypatch.setattr(_Assembler, "stiffness", counted)
+    res = solve(ref_stiffness[0], SolverConfig(p=3.0))
+    assert res.converged
+    assert len(calls) <= 60
+    assert abs(res.lam - 81.71864381766137) <= 1e-10 * res.lam
 
 
 # ---------------------------------------------------------------------------
