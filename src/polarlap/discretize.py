@@ -134,17 +134,12 @@ def energy_flat(M: TriMesh, flat: np.ndarray, p: float) -> float:
     return float(M.area * np.sum(g2 ** (0.5 * p)))
 
 
-def grad_energy_flat(M: TriMesh, flat: np.ndarray, p: float,
-                     smoothing: float = 0.0) -> np.ndarray:
+def grad_energy_flat(M: TriMesh, flat: np.ndarray, p: float) -> np.ndarray:
     gx, gy = triangle_gradients(M, flat)
     g2 = gx * gx + gy * gy
-    if smoothing > 0.0:
-        mag = np.maximum(np.sqrt(g2), smoothing)
-        factor = M.area * p * mag ** (p - 2.0)
-    else:
-        factor = np.zeros_like(g2)
-        nz = g2 > 0.0
-        factor[nz] = M.area * p * g2[nz] ** (0.5 * p - 1.0)
+    factor = np.zeros_like(g2)
+    nz = g2 > 0.0
+    factor[nz] = M.area * p * g2[nz] ** (0.5 * p - 1.0)
     contrib = factor[:, None] * (gx[:, None] * M.grad_x + gy[:, None] * M.grad_y)
     full = np.zeros(M.n_nodes)
     np.add.at(full, M.tri_nodes.ravel(), contrib.ravel())
@@ -181,15 +176,10 @@ def energy_p(M: TriMesh, u: GridFunction, p: float) -> float:
     return energy_flat(M, _checked(M, u, p, pinned=True), p)
 
 
-def grad_energy_p(M: TriMesh, u: GridFunction, p: float,
-                  smoothing: float = 0.0) -> np.ndarray:
-    """Exact gradient of energy_p with respect to the free nodal values.
-
-    With smoothing > 0 the |g|^(p-2) factor is evaluated at
-    max(|g|, smoothing); the exact gradient (smoothing 0) stays finite for
-    every p > 1 because |g|^(p-2) g -> 0 as g -> 0.
-    """
-    return grad_energy_flat(M, _checked(M, u, p, pinned=True), p, smoothing)
+def grad_energy_p(M: TriMesh, u: GridFunction, p: float) -> np.ndarray:
+    """Exact gradient of energy_p with respect to the free nodal values;
+    finite for every p > 1 because |g|^(p-2) g -> 0 as g -> 0."""
+    return grad_energy_flat(M, _checked(M, u, p, pinned=True), p)
 
 
 def mass_p(M: TriMesh, u: GridFunction, p: float) -> float:

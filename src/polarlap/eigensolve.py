@@ -17,24 +17,22 @@ At p != 2 the driver is Biezuner-Ercole-Martins inverse iteration: each
 outer step solves the convex problem min_v energy_p(v)/p - <w, v> with w
 the lumped p-force of the previous iterate, takes |v|, renormalizes, and
 re-evaluates the Rayleigh quotient.  inner_tol, max_inner and
-smoothing_eps apply only here.  Each inner solve starts on the exact
-minimizer along the ray through its start, which scales the unit-mass
-iterate by about lam^(-1/(p-1)) and is already the inner solution at an
-eigenfunction; it stops at inner_tol or at the rounding floor of the
-objective, and one that runs out of steps leaves its outer step
-unconverged.  A nonlinear analogue of the LOBPCG step at p = 3 stalled
-near a 3e-5 residual.
+smoothing_eps apply only here.  Every inner step, on both sides of p = 2,
+is a damped Newton step, and smoothing_eps floors |grad v| in its Hessian.
+Each inner solve starts on the exact minimizer along the ray through its
+start, which scales the unit-mass iterate by about lam^(-1/(p-1)) and is
+already the inner solution at an eigenfunction; it stops at inner_tol or
+at the rounding floor of the objective, and one that runs out of steps
+leaves its outer step unconverged.  A nonlinear analogue of the LOBPCG
+step at p = 3 stalled near a 3e-5 residual.
 
-Every symmetric positive definite solve at p >= 2 is preconditioned by a
-two-grid smoothed-aggregation cycle (`_TwoGrid`): LOBPCG applies it once
-per step, and each p > 2 damped-Newton step runs conjugate gradients on
-its Hessian with a cycle built from that Hessian on the same aggregates.
-Only the coarse matrix (about 1/16 of the unknowns) is factored; a
-resident sparse LU of the 1/64 stiffness raised a p = 2 sweep's peak
-memory by 15%, and one fine LU per Newton step was most of a p = 3 solve.
-p < 2 factors the stiffness once, because its descent applies it as a
-preconditioner on every step and the two-grid there took three times as
-long.
+Every symmetric positive definite solve is preconditioned by a two-grid
+smoothed-aggregation cycle (`_TwoGrid`): LOBPCG applies it once per step,
+and each Newton step runs conjugate gradients on its Hessian with a cycle
+built from that Hessian on the same aggregates.  Only coarse matrices
+(about 1/16 of the unknowns) are factored, at every p: a resident sparse
+LU of the 1/64 stiffness raised a p = 2 sweep's peak memory by 15%, and
+one fine LU per Newton step was most of a p = 3 solve.
 """
 
 from __future__ import annotations
@@ -324,42 +322,38 @@ def _mass_normalize(M: TriMesh, free_vals: np.ndarray, p: float) -> np.ndarray:
     return free_vals / m ** (1.0 / p)
 
 
-def _solve_inner(M: TriMesh, asm: _Assembler | None,
-                 lap: _TwoGrid | spla.SuperLU, w: np.ndarray, x: np.ndarray,
-                 first: bool, cfg: SolverConfig) -> tuple[np.ndarray, bool]:
+def _solve_inner(M: TriMesh, asm: _Assembler, T: _TwoGrid, w: np.ndarray,
+                 x: np.ndarray, first: bool, cfg: SolverConfig
+                 ) -> tuple[np.ndarray, bool]:
     """Minimize energy_p(v)/p - <w, v> over the free nodes (p != 2);
     returns v and whether the descent finished with every linear solve on
     the way meeting its tolerance.
 
-    lap solves with the Laplacian: its two-grid cycle at p > 2, its LU
-    factor at p < 2.  The start is the Laplacian solve of w on the first
-    outer step (two-grid PCG from x at rtol 1e-12) and the iterate x after
-    that, rescaled to the exact minimizer on its ray: energy_p is
-    p-homogeneous, so f(s v) is least at s^(p-1) = <w, v> / energy_p(v).
-    At an eigenfunction that is the inner solution, so the fixed point of
-    the outer iteration is unchanged.  p > 2: damped Newton (the Hessian is
-    bounded there), floored by smoothing_eps to stay definite on flat
-    triangles; each Newton system is solved by PCG at rtol 1e-10 from 0
-    with a two-grid built from the Hessian on the Laplacian's aggregates.
-    p < 2: preconditioned gradient steps in the p = 2 stiffness metric with
-    smoothing_eps guarding the |g|^(p-2) factor; the Hessian is unbounded at
-    flat gradients and is never formed.  All steps use Armijo backtracking
-    (c = 1e-4, halving).
+    T is the Laplacian's two-grid cycle.  The start is the Laplacian solve
+    of w on the first outer step (two-grid PCG from x at rtol 1e-12) and
+    the iterate x after that, rescaled to the exact minimizer on its ray:
+    energy_p is p-homogeneous, so f(s v) is least at
+    s^(p-1) = <w, v> / energy_p(v).  At an eigenfunction that is the inner
+    solution, so the fixed point of the outer iteration is unchanged.
+
+    Every step, at p < 2 as at p > 2, is a damped Newton step on the exact
+    gradient.  The Hessian is evaluated with each triangle's |grad v|^2
+    raised by max(smoothing_eps, 1e-10 max|grad v|)^2: its local
+    eigenvalues are then at least min(1, p-1) times the raised
+    |grad v|^(p-2), so it is positive definite where the exact one is
+    singular (p > 2) or unbounded (p < 2).  Each Newton system is solved
+    by PCG at rtol 1e-10 from 0 with a two-grid built from the Hessian on
+    the Laplacian's aggregates.  Steps use Armijo backtracking (c = 1e-4,
+    halving).
 
     The descent is finished when the gradient is below inner_tol, or when
     an accepted step leaves f no lower: the Armijo decrease is then below
-    the rounding of f, and further steps only halve t 30 times each.  At
-    p < 2 that floor is usually reached first.  Running out of max_inner
-    steps, or 60 halvings without an acceptable step, is unfinished.
+    the rounding of f, and further steps only halve t 30 times each.
+    Running out of max_inner steps, or 60 halvings without an acceptable
+    step, is unfinished.
     """
     p = cfg.p
-    if not first:
-        v, ok = x, True
-    elif p < 2.0:
-        v, ok = lap.solve(w), True
-    else:
-        v, ok = lap.cg(w, x, 1e-12)
-    smoothing = cfg.smoothing_eps if p < 2.0 else 0.0
+    v, ok = T.cg(w, x, 1e-12) if first else (x, True)
 
     def fval(vec):
         return energy_flat(M, M.embed(vec), p) / p - float(w @ vec)
@@ -369,22 +363,19 @@ def _solve_inner(M: TriMesh, asm: _Assembler | None,
     f = fval(v)
     for _ in range(cfg.max_inner):
         flat = M.embed(v)
-        g = grad_energy_flat(M, flat, p, smoothing) / p - w
+        g = grad_energy_flat(M, flat, p) / p - w
         if np.abs(g).max() < cfg.inner_tol:
             break
-        if p > 2.0:
-            tgx, tgy = triangle_gradients(M, flat)
-            g2 = tgx * tgx + tgy * tgy
-            d2 = g2 + max(cfg.smoothing_eps,
-                          1e-10 * float(np.sqrt(g2.max(initial=0.0)))) ** 2
-            wts = d2 ** (0.5 * p - 1.0)
-            fac = (p - 2.0) * d2 ** (0.5 * p - 2.0)
-            q = tgx[:, None] * M.grad_x + tgy[:, None] * M.grad_y
-            Kh = asm.stiffness(weights=wts, rank_one=(fac, q))
-            d, solved = lap.for_matrix(Kh).cg(-g, None, 1e-10)
-            ok = ok and solved
-        else:
-            d = -lap.solve(g)
+        tgx, tgy = triangle_gradients(M, flat)
+        g2 = tgx * tgx + tgy * tgy
+        d2 = g2 + max(cfg.smoothing_eps,
+                      1e-10 * float(np.sqrt(g2.max(initial=0.0)))) ** 2
+        wts = d2 ** (0.5 * p - 1.0)
+        fac = (p - 2.0) * d2 ** (0.5 * p - 2.0)
+        q = tgx[:, None] * M.grad_x + tgy[:, None] * M.grad_y
+        Kh = asm.stiffness(weights=wts, rank_one=(fac, q))
+        d, solved = T.for_matrix(Kh).cg(-g, None, 1e-10)
+        ok = ok and solved
         slope = float(g @ d)
         if slope >= 0.0:
             d = -g
@@ -407,9 +398,8 @@ def _solve_inner(M: TriMesh, asm: _Assembler | None,
     return v, ok
 
 
-def _inverse_iteration(M: TriMesh, asm: _Assembler | None,
-                       lap: _TwoGrid | spla.SuperLU, x: np.ndarray,
-                       cfg: SolverConfig
+def _inverse_iteration(M: TriMesh, asm: _Assembler, T: _TwoGrid,
+                       x: np.ndarray, cfg: SolverConfig
                        ) -> tuple[np.ndarray, float, float, int, bool]:
     """Inverse iteration from the unit-mass x; returns the last iterate,
     its Rayleigh quotient and residual, the number of outer steps and
@@ -427,7 +417,7 @@ def _inverse_iteration(M: TriMesh, asm: _Assembler | None,
     iters = 0
     for iters in range(1, cfg.max_outer + 1):
         w = grad_mass_flat(M, flat, p) / p
-        v, ok = _solve_inner(M, asm, lap, w, x, iters == 1, cfg)
+        v, ok = _solve_inner(M, asm, T, w, x, iters == 1, cfg)
         x = _mass_normalize(M, np.abs(v), p)
         flat = M.embed(x)
         lam, lam_old = energy_flat(M, flat, p) / mass_flat(M, flat, p), lam
@@ -453,17 +443,16 @@ def solve(M: TriMesh, cfg: SolverConfig | None = None) -> EigenResult:
         return EigenResult(0.0, u, 0, 0.0, True, p)
     asm = _Assembler(M)
     K = asm.stiffness()
-    if p <= 2.0:
-        # only Newton (p > 2) reassembles; holding the index tables through
+    if p == 2.0:
+        # only Newton (p != 2) reassembles; holding the index tables through
         # the loop raised a p = 2 sweep's peak memory by 1 MB
         asm = None
-    # the Laplacian's LU factor at p < 2, else its two-grid cycle
-    lap = spla.splu(K.tocsc()) if p < 2.0 else _TwoGrid(M, K)
+    T = _TwoGrid(M, K)
     del K
     if p == 2.0:
-        x, lam, res, iters, converged = _lobpcg(M, lap, x, cfg)
+        x, lam, res, iters, converged = _lobpcg(M, T, x, cfg)
     else:
-        x, lam, res, iters, converged = _inverse_iteration(M, asm, lap, x, cfg)
+        x, lam, res, iters, converged = _inverse_iteration(M, asm, T, x, cfg)
     return EigenResult(lam, M.function_from_flat(M.embed(x)), iters, res,
                        converged, p)
 
