@@ -13,23 +13,33 @@ counts its steps.  The 3x3 Ritz problem is solved in plain Python: the
 first LAPACK eigh call maps about 1.4 MB of library pages, which showed in
 a sweep's peak memory.
 
-At p != 2 the driver is Biezuner-Ercole-Martins inverse iteration: each
-outer step solves the convex problem min_v energy_p(v)/p - <w, v> with w
-the lumped p-force of the previous iterate, takes |v|, renormalizes, and
-re-evaluates the Rayleigh quotient.  inner_tol, max_inner and
-smoothing_eps apply only here.  Every inner step, on both sides of p = 2,
-is a damped Newton step, and smoothing_eps floors |grad v| in its Hessian.
-Each inner solve starts on the exact minimizer along the ray through its
-start, which scales the unit-mass iterate by about lam^(-1/(p-1)) and is
-already the inner solution at an eigenfunction; it stops at inner_tol or
-at the rounding floor of the objective, and one that runs out of steps
-leaves its outer step unconverged.  A nonlinear analogue of the LOBPCG
-step at p = 3 stalled near a 3e-5 residual.
+At p != 2 Biezuner-Ercole-Martins inverse iteration warms up: each outer
+step solves the convex problem min_v energy_p(v)/p - <w, v> with w the
+lumped p-force of the previous iterate, takes |v|, renormalizes, and
+re-evaluates the Rayleigh quotient.  inner_tol and max_inner apply only
+here, smoothing_eps here and in the eigenpair Newton step.  Every inner
+step, on both sides of p = 2, is a damped Newton step, and smoothing_eps
+(relative to max|grad v|) floors |grad v| in its Hessian.  Each inner
+solve starts on the exact minimizer along the ray through its start,
+which scales the unit-mass iterate by about lam^(-1/(p-1)) and is
+already the inner solution at an eigenfunction; it stops at inner_tol
+max|w| or at the rounding floor of the objective, and one that runs out
+of steps leaves its outer step unconverged.  Once a finished inner solve
+moves lam by at most 1e-3 relative, the driver switches to Newton on the
+eigenpair (a Jacobi-Davidson correction on the unit-mass sphere), which
+converges quadratically where inverse iteration converged linearly; a
+Newton step that fails or helps neither the residual nor lam falls back
+to one inverse-iteration step.  Every p stops on the same bound:
+max|grad E - lam grad M| <= outer_tol * lam * max|grad M| with E =
+energy_p and M = mass_p, which at p = 2 is the LOBPCG bound above.  A
+nonlinear analogue of the LOBPCG step at p = 3 stalled near a 3e-5
+residual.
 
 Every symmetric positive definite solve is preconditioned by a two-grid
 smoothed-aggregation cycle (`_TwoGrid`): LOBPCG applies it once per step,
 and each Newton step runs conjugate gradients on its Hessian with a cycle
-built from that Hessian on the same aggregates.  Only coarse matrices
+built from that Hessian on the same aggregates (projected, for the
+eigenpair's correction equation).  Only coarse matrices
 (about 1/16 of the unknowns) are factored, at every p: a resident sparse
 LU of the 1/64 stiffness raised a p = 2 sweep's peak memory by 15%, and
 one fine LU per Newton step was most of a p = 3 solve.
@@ -322,6 +332,27 @@ def _mass_normalize(M: TriMesh, free_vals: np.ndarray, p: float) -> np.ndarray:
     return free_vals / m ** (1.0 / p)
 
 
+def _hessian(M: TriMesh, asm: _Assembler, flat: np.ndarray,
+             cfg: SolverConfig) -> sp.csr_matrix:
+    """Hessian of energy_p/p at the nodal vector flat, on the free nodes,
+    with each triangle's |grad v|^2 raised by
+    (max(smoothing_eps, 1e-10) max|grad v|)^2.
+
+    Its local eigenvalues are then at least min(1, p-1) times the raised
+    |grad v|^(p-2), so it is positive definite where the exact one is
+    singular (p > 2) or unbounded (p < 2); the floor scales with v, so it
+    does not depend on the size of the iterate.
+    """
+    p = cfg.p
+    tgx, tgy = triangle_gradients(M, flat)
+    g2 = tgx * tgx + tgy * tgy
+    d2 = g2 + max(cfg.smoothing_eps, 1e-10) ** 2 * g2.max(initial=0.0)
+    wts = d2 ** (0.5 * p - 1.0)
+    fac = (p - 2.0) * d2 ** (0.5 * p - 2.0)
+    q = tgx[:, None] * M.grad_x + tgy[:, None] * M.grad_y
+    return asm.stiffness(weights=wts, rank_one=(fac, q))
+
+
 def _solve_inner(M: TriMesh, asm: _Assembler, T: _TwoGrid, w: np.ndarray,
                  x: np.ndarray, first: bool, cfg: SolverConfig
                  ) -> tuple[np.ndarray, bool]:
@@ -336,19 +367,14 @@ def _solve_inner(M: TriMesh, asm: _Assembler, T: _TwoGrid, w: np.ndarray,
     s^(p-1) = <w, v> / energy_p(v).  At an eigenfunction that is the inner
     solution, so the fixed point of the outer iteration is unchanged.
 
-    Every step, at p < 2 as at p > 2, is a damped Newton step on the exact
-    gradient.  The Hessian is evaluated with each triangle's |grad v|^2
-    raised by max(smoothing_eps, 1e-10 max|grad v|)^2: its local
-    eigenvalues are then at least min(1, p-1) times the raised
-    |grad v|^(p-2), so it is positive definite where the exact one is
-    singular (p > 2) or unbounded (p < 2).  Each Newton system is solved
-    by PCG at rtol 1e-10 from 0 with a two-grid built from the Hessian on
-    the Laplacian's aggregates.  Steps use Armijo backtracking (c = 1e-4,
-    halving).
+    Every step is a damped Newton step on the exact gradient with the
+    floored Hessian of `_hessian`, solved by PCG at rtol 1e-10 from 0 with
+    a two-grid built from that Hessian on the Laplacian's aggregates.
+    Steps use Armijo backtracking (c = 1e-4, halving).
 
-    The descent is finished when the gradient is below inner_tol, or when
-    an accepted step leaves f no lower: the Armijo decrease is then below
-    the rounding of f, and further steps only halve t 30 times each.
+    The descent is finished when the gradient is below inner_tol max|w|,
+    or when an accepted step leaves f no lower: the Armijo decrease is then
+    below the rounding of f, and further steps only halve t 30 times each.
     Running out of max_inner steps, or 60 halvings without an acceptable
     step, is unfinished.
     """
@@ -361,20 +387,13 @@ def _solve_inner(M: TriMesh, asm: _Assembler, T: _TwoGrid, w: np.ndarray,
     # the exact minimizer on the ray through v (energy_p is p-homogeneous)
     v = v * (float(w @ v) / energy_flat(M, M.embed(v), p)) ** (1.0 / (p - 1.0))
     f = fval(v)
+    gtol = cfg.inner_tol * float(np.abs(w).max())
     for _ in range(cfg.max_inner):
         flat = M.embed(v)
         g = grad_energy_flat(M, flat, p) / p - w
-        if np.abs(g).max() < cfg.inner_tol:
+        if np.abs(g).max() < gtol:
             break
-        tgx, tgy = triangle_gradients(M, flat)
-        g2 = tgx * tgx + tgy * tgy
-        d2 = g2 + max(cfg.smoothing_eps,
-                      1e-10 * float(np.sqrt(g2.max(initial=0.0)))) ** 2
-        wts = d2 ** (0.5 * p - 1.0)
-        fac = (p - 2.0) * d2 ** (0.5 * p - 2.0)
-        q = tgx[:, None] * M.grad_x + tgy[:, None] * M.grad_y
-        Kh = asm.stiffness(weights=wts, rank_one=(fac, q))
-        d, solved = T.for_matrix(Kh).cg(-g, None, 1e-10)
+        d, solved = T.for_matrix(_hessian(M, asm, flat, cfg)).cg(-g, None, 1e-10)
         ok = ok and solved
         slope = float(g @ d)
         if slope >= 0.0:
@@ -398,40 +417,118 @@ def _solve_inner(M: TriMesh, asm: _Assembler, T: _TwoGrid, w: np.ndarray,
     return v, ok
 
 
-def _inverse_iteration(M: TriMesh, asm: _Assembler, T: _TwoGrid,
-                       x: np.ndarray, cfg: SolverConfig
-                       ) -> tuple[np.ndarray, float, float, int, bool]:
-    """Inverse iteration from the unit-mass x; returns the last iterate,
-    its Rayleigh quotient and residual, the number of outer steps and
-    whether it converged.
+def _newton_step(M: TriMesh, asm: _Assembler, T: _TwoGrid, x: np.ndarray,
+                 lam: float, r: np.ndarray, cfg: SolverConfig
+                 ) -> np.ndarray | None:
+    """One Newton step on the eigenpair from the unit-mass iterate x with
+    Rayleigh quotient lam and residual r = grad E - lam grad M (p != 2):
+    the new iterate |x + t| at unit mass, or None when the solve for t
+    fails.
 
-    Each outer step takes w = m |x|^(p-2) x, solves the inner problem, and
-    keeps |v| normalized to unit lumped p-mass; it stops when the Rayleigh
-    quotient moves by at most outer_tol relative after a step whose
-    linear solves met their tolerances.
+    t solves the Jacobi-Davidson correction equation (Sleijpen-van der
+    Vorst, SIAM J. Matrix Anal. Appl. 17, 1996) on the unit-mass sphere by
+    projected PCG as in JDCG (Notay, Numer. Linear Algebra Appl. 9, 2002):
+    with g = grad M / p, Q = I - x g^T / (g^T x) and
+    A = Kh - lam (p-1) diag(m |x|^(p-2)), Kh the floored Hessian of E/p,
+    it solves Q^T A Q t = -r/p on {g^T t = 0} at rtol 1e-2 in at most 100
+    iterations.  x^T r = 0 at the Rayleigh quotient, so the right-hand side
+    lies in the range of Q^T.  The preconditioner is the two-grid C of Kh
+    projected the same way, z = C y - C g (g^T C y) / (g^T C g).  A
+    annihilates an eigenfunction and is positive semidefinite on
+    {g^T t = 0} at a minimizer of the quotient, but can be indefinite away
+    from one, so a solve that misses its tolerance or ends on nonpositive
+    curvature t^T Q^T A Q t <= 0 fails.
     """
     p = cfg.p
     flat = M.embed(x)
-    lam = energy_flat(M, flat, p) / mass_flat(M, flat, p)
-    converged = False
+    g = grad_mass_flat(M, flat, p) / p
+    h = np.zeros_like(x)  # m |x|^(p-2): the Hessian of M/p is (p-1) diag(h)
+    np.divide(g, x, out=h, where=x != 0.0)
+    Kh = _hessian(M, asm, flat, cfg)
+    A = Kh - sp.diags(lam * (p - 1.0) * h)
+    gx = float(g @ x)
+
+    def op(t):
+        t = t.ravel()
+        y = A @ (t - x * (float(g @ t) / gx))
+        return y - g * (float(x @ y) / gx)
+
+    C = T.for_matrix(Kh)
+    Cg = C.matvec(g)
+    gCg = float(g @ Cg)
+
+    def prec(y):
+        z = C.matvec(y)
+        return z - Cg * (float(g @ z) / gCg)
+
+    n = x.size
+    t, info = spla.cg(spla.LinearOperator((n, n), matvec=op, dtype=float),
+                      -r / p, rtol=1e-2, atol=0.0, maxiter=100,
+                      M=spla.LinearOperator((n, n), matvec=prec, dtype=float))
+    if info != 0 or not float(t @ op(t)) > 0.0:
+        return None
+    return _mass_normalize(M, np.abs(x + t), p)
+
+
+def _inverse_iteration(M: TriMesh, asm: _Assembler, T: _TwoGrid,
+                       x: np.ndarray, cfg: SolverConfig
+                       ) -> tuple[np.ndarray, float, float, int, bool]:
+    """The p != 2 eigenpair from the unit-mass x; returns the last iterate,
+    its Rayleigh quotient and residual, the number of outer steps and
+    whether it converged.
+
+    Inverse iteration warms up: each of its steps takes w = m |x|^(p-2) x,
+    solves the inner problem, and keeps |v| normalized to unit lumped
+    p-mass.  Once a step whose inner solve finished moves the Rayleigh
+    quotient by at most 1e-3 relative, every later step is a Newton step
+    on the eigenpair (`_newton_step`), x <- |x + t| renormalized.  It is
+    accepted when it lowers res_rel or the Rayleigh quotient; otherwise,
+    and when its solve fails, that step is an inverse-iteration step
+    instead.  Every step counts once in outer_iters.
+
+    The solve converges on the first step that leaves
+    res_rel = max|grad E - lam grad M| / (lam max|grad M|) <= outer_tol,
+    the quantity LOBPCG bounds at p = 2, unless that step was an inverse
+    step whose inner solve did not finish.
+    """
+    p = cfg.p
+
+    def evaluate(x):
+        """lam, r = grad E - lam grad M and res_rel of the unit-mass x."""
+        flat = M.embed(x)
+        gm = grad_mass_flat(M, flat, p)
+        lam = energy_flat(M, flat, p) / mass_flat(M, flat, p)
+        r = grad_energy_flat(M, flat, p) - lam * gm
+        return lam, r, float(np.abs(r).max()) / (lam * float(np.abs(gm).max()))
+
+    lam, r, res = evaluate(x)
+    newton = converged = False
     iters = 0
     for iters in range(1, cfg.max_outer + 1):
-        w = grad_mass_flat(M, flat, p) / p
-        v, ok = _solve_inner(M, asm, T, w, x, iters == 1, cfg)
-        x = _mass_normalize(M, np.abs(v), p)
-        flat = M.embed(x)
-        lam, lam_old = energy_flat(M, flat, p) / mass_flat(M, flat, p), lam
-        if ok and abs(lam - lam_old) <= cfg.outer_tol * abs(lam):
+        x_new = _newton_step(M, asm, T, x, lam, r, cfg) if newton else None
+        trial = evaluate(x_new) if x_new is not None else None
+        if trial is not None and (trial[2] < res or trial[0] < lam):
+            x, (lam, r, res), ok = x_new, trial, True
+        else:
+            w = grad_mass_flat(M, M.embed(x), p) / p
+            v, ok = _solve_inner(M, asm, T, w, x, iters == 1, cfg)
+            x = _mass_normalize(M, np.abs(v), p)
+            lam_old = lam
+            lam, r, res = evaluate(x)
+            newton = newton or (ok and abs(lam - lam_old) <= 1e-3 * lam)
+        if ok and res <= cfg.outer_tol:
             converged = True
             break
-    r = grad_energy_flat(M, flat, p) - lam * grad_mass_flat(M, flat, p)
     return x, lam, float(np.abs(r).max()), iters, converged
 
 
 def solve(M: TriMesh, cfg: SolverConfig | None = None) -> EigenResult:
     """First eigenpair for every p > 1: LOBPCG at p = 2, inverse iteration
-    otherwise.  The result is nonnegative with unit lumped p-mass, and its
-    residual is max |grad energy_p - lam grad mass_p| on the free nodes."""
+    finished by Newton on the eigenpair otherwise.  Either converges when
+    max |grad energy_p - lam grad mass_p| <= outer_tol lam max |grad mass_p|
+    on the free nodes, and ends unconverged after max_outer steps.  The
+    result is nonnegative with unit lumped p-mass, and its residual is
+    max |grad energy_p - lam grad mass_p| on the free nodes."""
     cfg = cfg or SolverConfig()
     if M.n_free == 0:
         raise NoFreeNodes("mesh has no free nodes")
