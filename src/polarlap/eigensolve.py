@@ -13,33 +13,27 @@ counts its steps.  The 3x3 Ritz problem is solved in plain Python: the
 first LAPACK eigh call maps about 1.4 MB of library pages, which showed in
 a sweep's peak memory.
 
-At p != 2 Biezuner-Ercole-Martins inverse iteration warms up: each outer
-step solves the convex problem min_v energy_p(v)/p - <w, v> with w the
-lumped p-force of the previous iterate, takes |v|, renormalizes, and
-re-evaluates the Rayleigh quotient.  inner_tol and max_inner apply only
-here, smoothing_eps here and in the eigenpair Newton step.  Every inner
-step, on both sides of p = 2, is a damped Newton step, and smoothing_eps
-(relative to max|grad v|) floors |grad v| in its Hessian.  Each inner
-solve starts on the exact minimizer along the ray through its start,
-which scales the unit-mass iterate by about lam^(-1/(p-1)) and is
-already the inner solution at an eigenfunction; it stops at inner_tol
-max|w| or at the rounding floor of the objective, and one that runs out
-of steps leaves its outer step unconverged.  Once a finished inner solve
-moves lam by at most 1e-3 relative, the driver switches to Newton on the
-eigenpair (a Jacobi-Davidson correction on the unit-mass sphere), which
-converges quadratically where inverse iteration converged linearly; a
-Newton step that fails or helps neither the residual nor lam falls back
-to one inverse-iteration step.  Every p stops on the same bound:
-max|grad E - lam grad M| <= outer_tol * lam * max|grad M| with E =
-energy_p and M = mass_p, which at p = 2 is the LOBPCG bound above.  A
-nonlinear analogue of the LOBPCG step at p = 3 stalled near a 3e-5
+At p != 2 one driver continues in the exponent (Allgower-Georg, Numerical
+Continuation Methods, 1990): LOBPCG gives the p = 2 eigenfunction to a
+loose residual, and each stage of an adaptive ladder of exponents from 2
+to p renormalizes the last accepted iterate to unit mass at the stage's
+exponent and runs Newton on the eigenpair (a Jacobi-Davidson correction on
+the unit-mass sphere).  A Newton step is kept when it lowers the residual
+or lam; a stage that fails goes back to the last accepted iterate with
+half the p-step, and an easy one doubles it.  Every p stops on the same
+bound: max|grad E - lam grad M| <= outer_tol * lam * max|grad M| with E =
+energy_p and M = mass_p, which at p = 2 is the LOBPCG bound above.
+smoothing_eps (relative to max|grad v|) floors |grad v| in the Newton
+Hessian; inner_tol and max_inner are validated but no step reads them.
+An inverse-iteration warm-up for Newton spent most of a p = 3 solve, and
+a nonlinear analogue of the LOBPCG step at p = 3 stalled near a 3e-5
 residual.
 
 Every symmetric positive definite solve is preconditioned by a two-grid
 smoothed-aggregation cycle (`_TwoGrid`): LOBPCG applies it once per step,
-and each Newton step runs conjugate gradients on its Hessian with a cycle
-built from that Hessian on the same aggregates (projected, for the
-eigenpair's correction equation).  Only coarse matrices
+and each Newton step runs projected conjugate gradients on the eigenpair's
+correction equation with a cycle built from its Hessian on the same
+aggregates.  Only coarse matrices
 (about 1/16 of the unknowns) are factored, at every p: a resident sparse
 LU of the 1/64 stiffness raised a p = 2 sweep's peak memory by 15%, and
 one fine LU per Newton step was most of a p = 3 solve.
@@ -49,7 +43,7 @@ from __future__ import annotations
 
 import copy
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -79,6 +73,7 @@ class SolverConfig:
     max_outer: int = 200
     max_inner: int = 5000
     smoothing_eps: float = 1e-10
+    # inner_tol and max_inner are validated but read by no solver step
 
     def __post_init__(self):
         if not self.p > 1.0:
@@ -86,6 +81,9 @@ class SolverConfig:
         for name in ("outer_tol", "inner_tol", "smoothing_eps"):
             if not getattr(self, name) > 0.0:
                 raise ValueError(f"{name} must be positive")
+        for name in ("p", "outer_tol", "inner_tol", "smoothing_eps"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         for name in ("max_outer", "max_inner"):
             if not getattr(self, name) >= 1:
                 raise ValueError(f"{name} must be at least 1")
@@ -208,13 +206,6 @@ class _TwoGrid(spla.LinearOperator):
         y += self.jacobi * (r - self.K @ y)
         return y
 
-    def cg(self, b: np.ndarray, x0, rtol: float) -> tuple[np.ndarray, bool]:
-        """CG on K y = b from x0 (None: zero) preconditioned by this cycle;
-        returns y and whether it met rtol."""
-        y, info = spla.cg(self.K, b, x0=x0, rtol=rtol, atol=0.0,
-                          maxiter=20 * self.K.shape[0], M=self)
-        return y, info == 0
-
 
 def _smallest_eigenpair(A: list) -> tuple[float, list]:
     """Smallest eigenvalue and a unit eigenvector of a small symmetric
@@ -326,10 +317,14 @@ def _lobpcg(M: TriMesh, T: _TwoGrid, x: np.ndarray, cfg: SolverConfig
 
 
 def _mass_normalize(M: TriMesh, free_vals: np.ndarray, p: float) -> np.ndarray:
-    m = mass_flat(M, M.embed(free_vals), p)
-    if m <= 0.0:
+    """free_vals scaled to unit lumped p-mass.  It is first scaled to
+    max|v| = 1, so the mass lies between the smallest lumped weight and the
+    domain's area and neither overflows nor underflows at any finite p."""
+    top = float(np.abs(free_vals).max(initial=0.0))
+    if not top > 0.0:
         raise ZeroFunction("cannot normalize the zero function")
-    return free_vals / m ** (1.0 / p)
+    v = free_vals / top
+    return v / mass_flat(M, M.embed(v), p) ** (1.0 / p)
 
 
 def _hessian(M: TriMesh, asm: _Assembler, flat: np.ndarray,
@@ -351,70 +346,6 @@ def _hessian(M: TriMesh, asm: _Assembler, flat: np.ndarray,
     fac = (p - 2.0) * d2 ** (0.5 * p - 2.0)
     q = tgx[:, None] * M.grad_x + tgy[:, None] * M.grad_y
     return asm.stiffness(weights=wts, rank_one=(fac, q))
-
-
-def _solve_inner(M: TriMesh, asm: _Assembler, T: _TwoGrid, w: np.ndarray,
-                 x: np.ndarray, first: bool, cfg: SolverConfig
-                 ) -> tuple[np.ndarray, bool]:
-    """Minimize energy_p(v)/p - <w, v> over the free nodes (p != 2);
-    returns v and whether the descent finished with every linear solve on
-    the way meeting its tolerance.
-
-    T is the Laplacian's two-grid cycle.  The start is the Laplacian solve
-    of w on the first outer step (two-grid PCG from x at rtol 1e-12) and
-    the iterate x after that, rescaled to the exact minimizer on its ray:
-    energy_p is p-homogeneous, so f(s v) is least at
-    s^(p-1) = <w, v> / energy_p(v).  At an eigenfunction that is the inner
-    solution, so the fixed point of the outer iteration is unchanged.
-
-    Every step is a damped Newton step on the exact gradient with the
-    floored Hessian of `_hessian`, solved by PCG at rtol 1e-10 from 0 with
-    a two-grid built from that Hessian on the Laplacian's aggregates.
-    Steps use Armijo backtracking (c = 1e-4, halving).
-
-    The descent is finished when the gradient is below inner_tol max|w|,
-    or when an accepted step leaves f no lower: the Armijo decrease is then
-    below the rounding of f, and further steps only halve t 30 times each.
-    Running out of max_inner steps, or 60 halvings without an acceptable
-    step, is unfinished.
-    """
-    p = cfg.p
-    v, ok = T.cg(w, x, 1e-12) if first else (x, True)
-
-    def fval(vec):
-        return energy_flat(M, M.embed(vec), p) / p - float(w @ vec)
-
-    # the exact minimizer on the ray through v (energy_p is p-homogeneous)
-    v = v * (float(w @ v) / energy_flat(M, M.embed(v), p)) ** (1.0 / (p - 1.0))
-    f = fval(v)
-    gtol = cfg.inner_tol * float(np.abs(w).max())
-    for _ in range(cfg.max_inner):
-        flat = M.embed(v)
-        g = grad_energy_flat(M, flat, p) / p - w
-        if np.abs(g).max() < gtol:
-            break
-        d, solved = T.for_matrix(_hessian(M, asm, flat, cfg)).cg(-g, None, 1e-10)
-        ok = ok and solved
-        slope = float(g @ d)
-        if slope >= 0.0:
-            d = -g
-            slope = float(g @ d)
-        t = 1.0
-        for _ in range(60):
-            f_new = fval(v + t * d)
-            if f_new <= f + 1e-4 * t * slope:
-                break
-            t *= 0.5
-        else:
-            ok = False  # no step passes Armijo
-            break
-        v = v + t * d
-        if not f_new < f:
-            break  # the decrease is below the rounding of f
-        f = f_new
-    else:
-        ok = False  # max_inner steps did not finish the descent
-    return v, ok
 
 
 def _newton_step(M: TriMesh, asm: _Assembler, T: _TwoGrid, x: np.ndarray,
@@ -470,61 +401,91 @@ def _newton_step(M: TriMesh, asm: _Assembler, T: _TwoGrid, x: np.ndarray,
     return _mass_normalize(M, np.abs(x + t), p)
 
 
-def _inverse_iteration(M: TriMesh, asm: _Assembler, T: _TwoGrid,
-                       x: np.ndarray, cfg: SolverConfig
-                       ) -> tuple[np.ndarray, float, float, int, bool]:
-    """The p != 2 eigenpair from the unit-mass x; returns the last iterate,
-    its Rayleigh quotient and residual, the number of outer steps and
-    whether it converged.
+# The exponent ladder of `_continuation`: its first p-step, the res_rel that
+# ends a stage short of p and the LOBPCG start, and the Newton steps a stage
+# may take before it counts as failed.
+_P_STEP = 0.5
+_STAGE_TOL = 1e-4
+_STAGE_STEPS = 10
 
-    Inverse iteration warms up: each of its steps takes w = m |x|^(p-2) x,
-    solves the inner problem, and keeps |v| normalized to unit lumped
-    p-mass.  Once a step whose inner solve finished moves the Rayleigh
-    quotient by at most 1e-3 relative, every later step is a Newton step
-    on the eigenpair (`_newton_step`), x <- |x + t| renormalized.  It is
-    accepted when it lowers res_rel or the Rayleigh quotient; otherwise,
-    and when its solve fails, that step is an inverse-iteration step
-    instead.  Every step counts once in outer_iters.
 
-    The solve converges on the first step that leaves
-    res_rel = max|grad E - lam grad M| / (lam max|grad M|) <= outer_tol,
-    the quantity LOBPCG bounds at p = 2, unless that step was an inverse
-    step whose inner solve did not finish.
+def _evaluate(M: TriMesh, x: np.ndarray, p: float
+              ) -> tuple[float, np.ndarray, float]:
+    """lam, r = grad E - lam grad M and
+    res_rel = max|r| / (lam max|grad M|) of the unit-mass x at exponent p;
+    res_rel is a numpy float, so an energy that underflows to lam = 0 gives
+    a non-finite res_rel rather than an exception."""
+    flat = M.embed(x)
+    gm = grad_mass_flat(M, flat, p)
+    lam = energy_flat(M, flat, p) / mass_flat(M, flat, p)
+    r = grad_energy_flat(M, flat, p) - lam * gm
+    return lam, r, np.abs(r).max() / (lam * np.abs(gm).max())
+
+
+def _continuation(M: TriMesh, asm: _Assembler, T: _TwoGrid, x: np.ndarray,
+                  cfg: SolverConfig
+                  ) -> tuple[np.ndarray, float, float, int, bool]:
+    """The p != 2 eigenpair from the constant x by continuation in the
+    exponent from the p = 2 eigenfunction (Allgower-Georg, Numerical
+    Continuation Methods, 1990); returns the last iterate, its Rayleigh
+    quotient and residual at p, the number of steps and whether it
+    converged.
+
+    LOBPCG gives the p = 2 eigenfunction to res_rel 1e-4.  Each stage then
+    moves the exponent from the last accepted q toward p by the p-step,
+    renormalizes that iterate to unit q-mass and runs `_newton_step`; a
+    step is kept when it lowers res_rel or the Rayleigh quotient.  A stage
+    short of p ends at res_rel <= 1e-4, the stage at p on the solve's bound
+    res_rel = max|grad E - lam grad M| / (lam max|grad M|) <= outer_tol.
+    A stage fails when a step fails or is refused, when its lam or res_rel
+    is not finite (the step is refused before a Hessian is built), or when
+    it would take more than 10 steps; it then restarts from the last
+    accepted iterate with half the p-step.  A stage done in at most 3 steps
+    doubles the p-step, which starts at 0.5.  LOBPCG and Newton steps, kept
+    or not, count in outer_iters, and the solve ends unconverged after
+    max_outer.  Energies that overflow at large p only fail stages, so
+    floating-point warnings are silenced here.
     """
     p = cfg.p
-
-    def evaluate(x):
-        """lam, r = grad E - lam grad M and res_rel of the unit-mass x."""
-        flat = M.embed(x)
-        gm = grad_mass_flat(M, flat, p)
-        lam = energy_flat(M, flat, p) / mass_flat(M, flat, p)
-        r = grad_energy_flat(M, flat, p) - lam * gm
-        return lam, r, float(np.abs(r).max()) / (lam * float(np.abs(gm).max()))
-
-    lam, r, res = evaluate(x)
-    newton = converged = False
-    iters = 0
-    for iters in range(1, cfg.max_outer + 1):
-        x_new = _newton_step(M, asm, T, x, lam, r, cfg) if newton else None
-        trial = evaluate(x_new) if x_new is not None else None
-        if trial is not None and (trial[2] < res or trial[0] < lam):
-            x, (lam, r, res), ok = x_new, trial, True
-        else:
-            w = grad_mass_flat(M, M.embed(x), p) / p
-            v, ok = _solve_inner(M, asm, T, w, x, iters == 1, cfg)
-            x = _mass_normalize(M, np.abs(v), p)
-            lam_old = lam
-            lam, r, res = evaluate(x)
-            newton = newton or (ok and abs(lam - lam_old) <= 1e-3 * lam)
-        if ok and res <= cfg.outer_tol:
-            converged = True
-            break
-    return x, lam, float(np.abs(r).max()), iters, converged
+    x, _, _, iters, _ = _lobpcg(M, T, _mass_normalize(M, x, 2.0),
+                                replace(cfg, p=2.0, outer_tol=_STAGE_TOL))
+    done, step = 2.0, math.copysign(_P_STEP, p - 2.0)
+    with np.errstate(all="ignore"):
+        while True:
+            q = p if abs(p - done) <= abs(step) else done + step
+            tol = cfg.outer_tol if q == p else _STAGE_TOL
+            y = _mass_normalize(M, x, q)
+            lam, r, res = _evaluate(M, y, q)
+            k = 0
+            while not res <= tol and k < _STAGE_STEPS \
+                    and iters < cfg.max_outer:
+                iters += 1
+                k += 1
+                y_new = _newton_step(M, asm, T, y, lam, r, replace(cfg, p=q)) \
+                    if math.isfinite(lam) and math.isfinite(res) else None
+                trial = None if y_new is None else _evaluate(M, y_new, q)
+                if trial is None or not (trial[2] < res or trial[0] < lam):
+                    break
+                y, (lam, r, res) = y_new, trial
+            if res <= tol and q == p:
+                return y, lam, float(np.abs(r).max()), iters, True
+            if iters == cfg.max_outer:
+                if q != p:
+                    y = _mass_normalize(M, y, p)
+                    lam, r, res = _evaluate(M, y, p)
+                return y, lam, float(np.abs(r).max()), iters, False
+            if res <= tol:
+                x, done = y, q
+                if k <= 3:
+                    step *= 2.0
+            else:
+                step = 0.5 * (q - done)
 
 
 def solve(M: TriMesh, cfg: SolverConfig | None = None) -> EigenResult:
-    """First eigenpair for every p > 1: LOBPCG at p = 2, inverse iteration
-    finished by Newton on the eigenpair otherwise.  Either converges when
+    """First eigenpair for every p > 1: LOBPCG at p = 2, continuation in p
+    from the p = 2 eigenfunction with Newton on the eigenpair otherwise
+    (`_continuation`).  Either converges when
     max |grad energy_p - lam grad mass_p| <= outer_tol lam max |grad mass_p|
     on the free nodes, and ends unconverged after max_outer steps.  The
     result is nonnegative with unit lumped p-mass, and its residual is
@@ -549,7 +510,7 @@ def solve(M: TriMesh, cfg: SolverConfig | None = None) -> EigenResult:
     if p == 2.0:
         x, lam, res, iters, converged = _lobpcg(M, T, x, cfg)
     else:
-        x, lam, res, iters, converged = _inverse_iteration(M, asm, T, x, cfg)
+        x, lam, res, iters, converged = _continuation(M, asm, T, x, cfg)
     return EigenResult(lam, M.function_from_flat(M.embed(x)), iters, res,
                        converged, p)
 

@@ -48,6 +48,12 @@ from .eigensolve import EigenResult, SolverConfig, solve
 EPS_DISC_FACTOR = 1e-3  # inequality slack relative to the unpolarized eigenvalue
 
 
+def strict_p_min(d: int = 2) -> float:
+    """(2d+2)/(d+2): the paper proves the strict inequality for
+    strict_p_min(d) < p < inf in dimension d, so p > 1.5 in the plane."""
+    return (2 * d + 2) / (d + 2)
+
+
 def eps_strict(cfg: SolverConfig) -> float:
     """Strictness floor for monotonicity margins, above solver tolerance."""
     return max(1e-4, 3.0 * cfg.outer_tol)
@@ -68,6 +74,7 @@ class SweepResult:
     direction: str       # increasing | decreasing | constant | mixed
     min_margin: float    # smallest |dlambda|/lambda among strict pairs
     notes: tuple
+    p_in_strict_range: bool  # p > strict_p_min(): inside the paper's theorem
 
 
 def _classify(params, lambdas, converged, eps) -> tuple[str, float]:
@@ -103,7 +110,8 @@ def build_sweep(params: Sequence[float], results: Sequence[EigenResult],
     direction, margin = _classify(list(params), list(lambdas), list(conv),
                                   eps_strict(cfg))
     return SweepResult(tuple(float(s) for s in params), lambdas, conv, iters,
-                       res, direction, margin, tuple(notes))
+                       res, direction, margin, tuple(notes),
+                       cfg.p > strict_p_min())
 
 
 def _solve_domain(D: PuncturedDomain, cfg: SolverConfig) -> EigenResult:
@@ -125,6 +133,7 @@ class FkVerdict:
     p: float
     converged_before: bool
     converged_after: bool
+    p_in_strict_range: bool  # p > strict_p_min(): inside the paper's theorem
 
 
 def fk_check(D: PuncturedDomain, H: Polarizer, p: float,
@@ -163,7 +172,7 @@ def fk_check(D: PuncturedDomain, H: Polarizer, p: float,
     relation = "leq" if after.lam <= before.lam + EPS_DISC_FACTOR * before.lam \
         else "violated"
     return FkVerdict(before.lam, after.lam, relation, strict_case, gap, p,
-                     before.converged, after.converged)
+                     before.converged, after.converged, p > strict_p_min())
 
 
 def _with_p(cfg: Optional[SolverConfig], p: float) -> SolverConfig:

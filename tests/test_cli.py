@@ -192,9 +192,9 @@ def test_run_translate_sweep(tmp_path):
 @pytest.mark.parametrize("p", ["1.6", "1.75"])
 def test_translate_sweep_below_p2_at_spacing_1_32(tmp_path, p):
     # the shipped translate geometry at spacing 1/32, inside the paper's
-    # strict range p > 1.5.  Each sweep takes about 6 s (p = 1.6) and 3 s
-    # (p = 1.75) on a 2-core host; without the inner solve's rounding-floor
-    # exit the p = 1.75 sweep ran for more than 150 s.
+    # strict range p > 1.5.  Each sweep takes under 1 s on a 2-core host;
+    # an inverse-iteration inner solve without a rounding-floor exit ran
+    # the p = 1.75 sweep for more than 150 s.
     t0 = time.perf_counter()
     code = main(["translate-sweep", "--config",
                  str(CONFIG_DIR / "translate_sweep_disk.cfg"),
@@ -401,6 +401,20 @@ def test_main_no_free_nodes_exit_2(tmp_path, capsys):
     assert err == ["error: NoFreeNodes: mesh has no free nodes"]
 
 
+@pytest.mark.parametrize("p, code, line", [
+    ("inf", 1, "error: ValidationError: --p: p must be finite"),
+    ("1e308", 3, "warning: unconverged solve present in results"),
+])
+def test_main_extreme_p_ends_without_traceback(tmp_path, capsys, p, code, line):
+    # an infinite p is rejected with the config errors; at a finite p whose
+    # energies overflow every continuation stage fails, and the solve ends
+    # unconverged after max_outer steps
+    code_run = main(["solve", "--config", str(CONFIG_DIR / "solve_square.cfg"),
+                     "--p", p, "--grid-n", "8", "--out", str(tmp_path / "out")])
+    assert code_run == code
+    assert capsys.readouterr().err.splitlines() == [line]
+
+
 def test_main_solve_with_overrides(tmp_path):
     path = tmp_path / "c.cfg"
     path.write_text(MINIMAL_SOLVE)
@@ -451,13 +465,14 @@ def test_emit_plot(tmp_path):
     from polarlap.cli import emit_plot
     from polarlap.experiments import SweepResult
     sweep = SweepResult((0.0, 0.5, 1.0), (3.0, 2.5, 2.0), (True, True, False),
-                        (4, 5, 6), (0.0, 0.0, 0.0), "decreasing", 0.1, ())
+                        (4, 5, 6), (0.0, 0.0, 0.0), "decreasing", 0.1, (),
+                        True)
     target = tmp_path / "sweep.svg"
     emit_plot(sweep, target, "shift")
     text = target.read_text()
     assert text.count("<polyline") == 1 and "shift" in text
     short = SweepResult((0.0,), (3.0,), (True,), (4,), (0.0,), "constant",
-                        0.0, ())
+                        0.0, (), True)
     with pytest.raises(ValueError):
         emit_plot(short, tmp_path / "x.svg")
 

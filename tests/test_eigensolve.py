@@ -229,6 +229,14 @@ def test_solver_config_rejects_step_limit_below_one(field, value):
         SolverConfig(**{field: value})
 
 
+@pytest.mark.parametrize("field", ["p", "outer_tol", "inner_tol",
+                                   "smoothing_eps"])
+@pytest.mark.parametrize("value", [math.inf, math.nan])
+def test_solver_config_rejects_non_finite(field, value):
+    with pytest.raises(ValueError, match=field):
+        SolverConfig(**{field: value})
+
+
 def test_lobpcg_step_limit_is_not_converged():
     # at p = 2 a solve converges only when its residual meets the bound;
     # this one needs about 22 LOBPCG steps, so 3 leave it unconverged
@@ -281,8 +289,8 @@ def test_smallest_eigenpair_of_known_spectrum(rng):
 
 
 def test_newton_cg_failure_is_not_converged(monkeypatch):
-    # at p > 2 a step counts as converged only if its Newton PCG solves
-    # met their rtol as well
+    # at p > 2 a Newton step whose PCG misses its rtol is refused, so every
+    # continuation stage fails and the solve ends unconverged at max_outer
     import scipy.sparse.linalg as spla
     cg = spla.cg
 
@@ -303,29 +311,44 @@ def test_solve_p16_small_mesh():
     _check_result_invariants(mesh, res, 1.6)
 
 
-@pytest.mark.parametrize("p, max_outer", [(1.5, 10), (3.0, 30)])
-def test_unfinished_inner_solve_is_not_converged(p, max_outer):
-    # With one Newton step per inner solve, lam moves by less than
-    # outer_tol after 7 outer steps at p = 1.5 (residual 1.1e-5) and 22 at
-    # p = 3 (residual 2.5e-3).  Those inner solves were cut short, so those
-    # steps may not end the solve.  It converges only once a single step
-    # finishes an inner solve, after 13 and 50 outer steps.
-    res = solve(_annulus_mesh(12),
-                SolverConfig(p=p, max_inner=1, max_outer=max_outer))
-    assert res.converged is False
-    assert res.outer_iters == max_outer
-
-
 def test_armijo_failure_is_not_converged(monkeypatch):
-    # a NaN gradient (as after an overflow) leaves no step that passes
-    # Armijo; the iterate then never moves, so lam stands still, and only
-    # the unfinished inner solve keeps the outer step from converging
+    # a NaN gradient (as after an overflow) must not raise; LOBPCG steps
+    # count toward max_outer, and here the p = 2 start alone takes all five
+    # (test_nan_residual_fails_every_stage goes past it)
     from polarlap import eigensolve
     monkeypatch.setattr(eigensolve, "grad_energy_flat",
                         lambda M, flat, *args: np.full(M.n_free, np.nan))
     res = solve(_annulus_mesh(12), SolverConfig(p=1.5, max_outer=5))
     assert res.converged is False
     assert res.outer_iters == 5
+
+
+def test_nan_residual_fails_every_stage(monkeypatch):
+    # past the p = 2 start, a NaN residual refuses each stage's first step
+    # before a Hessian is built; each refusal counts as a step, and the
+    # solve ends unconverged at max_outer without raising
+    from polarlap import eigensolve
+    hessians = []
+    monkeypatch.setattr(eigensolve, "grad_energy_flat",
+                        lambda M, flat, *args: np.full(M.n_free, np.nan))
+    monkeypatch.setattr(eigensolve, "_hessian",
+                        lambda *args: hessians.append(1))
+    res = solve(_annulus_mesh(12), SolverConfig(p=1.5, max_outer=40))
+    assert res.converged is False
+    assert res.outer_iters == 40
+    assert not hessians
+
+
+def test_underflowing_energy_is_not_converged():
+    # on a disk of radius 20 the p = 300 energy of a unit-mass iterate
+    # underflows to 0, so lam = 0 and res_rel is not finite; the solve
+    # must end unconverged rather than divide by zero
+    g = Grid((-25.0, -25.0), 50.0 / 16, 16, 16)
+    mesh = triangulate(PuncturedDomain(rasterize(Disk((0.0, 0.0), 20.0), g),
+                                       ()))
+    res = solve(mesh, SolverConfig(p=300.0, max_outer=60))
+    assert res.converged is False
+    assert res.outer_iters == 60
 
 
 # ---------------------------------------------------------------------------
@@ -444,11 +467,11 @@ def _count_energy_calls(monkeypatch) -> list:
 
 
 def test_p15_descent_stops_at_rounding_floor(monkeypatch):
-    # Newton steps reach the objective's rounding floor, where an accepted
-    # step leaves it no lower, in about 26 evaluations over 6 outer steps;
-    # gradient steps in the p = 2 metric took 1,163, and 155,270 when the
-    # descent ran on past the floor.  lam is the residual-converged value
-    # (outer_tol 1e-12 gives the same to 2e-16)
+    # continuation from the p = 2 eigenfunction (2 -> 1.5 in one stage)
+    # makes about 10 evaluations in 19 steps; an inverse-iteration inner
+    # descent in the p = 2 metric took 1,163, and 155,270 when it ran on
+    # past the rounding floor of its objective.  lam is the
+    # residual-converged value (outer_tol 1e-12 gives the same to 2e-16)
     calls = _count_energy_calls(monkeypatch)
     res = solve(_ref_annulus_mesh(12), SolverConfig(p=1.5))
     assert res.converged
@@ -459,7 +482,7 @@ def test_p15_descent_stops_at_rounding_floor(monkeypatch):
 def test_p19_newton_work_is_bounded(monkeypatch):
     # gradient steps in the p = 2 metric converge slowly near p = 2: at
     # 1/32 they took 1,787 evaluations at p = 1.9 against 457 at p = 1.8;
-    # Newton takes about 28 in 7 outer steps
+    # Newton from the p = 2 eigenfunction takes about 5
     calls = _count_energy_calls(monkeypatch)
     res = solve(_ref_annulus_mesh(66), SolverConfig(p=1.9))
     assert res.converged
@@ -468,10 +491,10 @@ def test_p19_newton_work_is_bounded(monkeypatch):
 
 
 def test_p3_newton_starts_on_ray_minimizer(monkeypatch, ref_stiffness):
-    # each inner solve starts at the scale lam^(-1/(p-1)) of its minimizer
-    # (42 Hessians in 20 outer steps of plain inverse iteration, 24 in 3
-    # inverse and 5 Newton steps on the eigenpair); from the unit-mass
-    # iterate Newton spends six steps per outer step recovering it (126)
+    # one assembly per Newton step: continuation 2 -> 2.5 -> 3 from the
+    # p = 2 eigenfunction assembles 12 matrices; inverse iteration
+    # started each inner solve on its ray minimizer and assembled 42 in 20
+    # outer steps (24 with a Newton finish), and 126 without that start
     stiffness = _Assembler.stiffness
     calls = []
 
@@ -510,7 +533,7 @@ def test_residual_bound_at_spacing_1_64(ref_stiffness, p):
 
 
 def test_p3_step_limit_is_not_converged(ref_stiffness):
-    # three inverse steps and five Newton steps reach the bound here
+    # LOBPCG steps count too: the p = 2 start alone takes more than four
     res = solve(ref_stiffness[0], SolverConfig(p=3.0, max_outer=4))
     assert res.converged is False
     assert res.outer_iters == 4
@@ -519,9 +542,10 @@ def test_p3_step_limit_is_not_converged(ref_stiffness):
 @pytest.mark.parametrize("p", [1.5, 2.5, 3.0, 6.0])
 def test_converged_means_residual_bound(p):
     # a lam-change stop called all of these converged at res_rel 1e-5 to
-    # 1e-4; at p = 6 the first annulus stalls on a saddle of the discrete
-    # quotient (a symmetry-breaking direction lowers it) near res_rel 2e-8
-    # and ends unconverged
+    # 1e-4.  At p = 6 the first annulus converges (lam 154949.466252948,
+    # res_rel 4e-10) to a saddle of the discrete quotient: a
+    # symmetry-breaking direction lowers lam, so "converged" means a
+    # critical point within the residual bound, not the minimum
     cfg = SolverConfig(p=p)
     for mesh in (_annulus_mesh(16), _ref_annulus_mesh(24), _disk_mesh(12),
                  _square_mesh(16)):
@@ -529,35 +553,55 @@ def test_converged_means_residual_bound(p):
         assert not res.converged or _res_rel(mesh, res) <= cfg.outer_tol
 
 
-def test_failed_newton_solve_falls_back_to_inverse_steps(monkeypatch):
+def _record_stage_exponents(monkeypatch) -> list:
+    # the exponent of every Newton step, in order
+    from polarlap import eigensolve
+    newton_step = eigensolve._newton_step
+    exponents = []
+
+    def recorded(M, asm, T, x, lam, r, cfg):
+        exponents.append(cfg.p)
+        return newton_step(M, asm, T, x, lam, r, cfg)
+
+    monkeypatch.setattr(eigensolve, "_newton_step", recorded)
+    return exponents
+
+
+def test_failed_newton_solves_halve_the_p_step(monkeypatch):
     # Newton's projected CG (the only one on a LinearOperator) reports
-    # failure on a correction that would pass the acceptance rule; every
-    # step must then be an inverse-iteration step, and the solve still ends
-    # on the bound
+    # failure on its first two solves; each failure ends its stage, which
+    # goes back to the p = 2 start with half the p-step, and the solve
+    # still ends on the bound
     import scipy.sparse as sp
     import scipy.sparse.linalg as spla
-    from polarlap import eigensolve
-    cg, solve_inner = spla.cg, eigensolve._solve_inner
-    inner, newton = [], []
+    cg = spla.cg
+    failed = []
 
     def failing_newton(A, b, **kwargs):
         y, info = cg(A, b, **kwargs)
-        if sp.issparse(A):
+        if sp.issparse(A) or len(failed) == 2:
             return y, info
-        newton.append(1)
+        failed.append(1)
         return y, 1
 
-    def counted(*args):
-        inner.append(1)
-        return solve_inner(*args)
-
     monkeypatch.setattr(spla, "cg", failing_newton)
-    monkeypatch.setattr(eigensolve, "_solve_inner", counted)
+    exponents = _record_stage_exponents(monkeypatch)
     mesh = _annulus_mesh(12)
     cfg = SolverConfig(p=3.0)
     res = solve(mesh, cfg)
-    assert newton
-    assert len(inner) == res.outer_iters
+    assert exponents[:3] == [2.5, 2.25, 2.125]
+    assert res.converged
+    assert _res_rel(mesh, res) <= cfg.outer_tol
+
+
+def test_p125_halves_the_p_step(monkeypatch):
+    # after the stage at 1.5 the doubled p-step reaches 1.25 at once; that
+    # stage fails, and shorter steps through 1.375 reach the bound
+    exponents = _record_stage_exponents(monkeypatch)
+    mesh = _ref_annulus_mesh(12)
+    cfg = SolverConfig(p=1.25)
+    res = solve(mesh, cfg)
+    assert any(1.25 < q < 1.5 for q in exponents)
     assert res.converged
     assert _res_rel(mesh, res) <= cfg.outer_tol
 

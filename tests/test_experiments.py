@@ -32,6 +32,7 @@ from polarlap.experiments import (
     check_unit,
     fk_check,
     rotate_sweep,
+    strict_p_min,
     symmetry_check,
     translate_sweep,
 )
@@ -73,6 +74,21 @@ def test_fk_reflected_congruent():
     v = fk_check(D, Polarizer((1.0, 0.0), 0.0), 2.0)
     assert v.strict_case == "reflected"
     assert abs(v.gap) <= 1e-9 * v.lambda_before
+
+
+@pytest.mark.parametrize("p, inside", [
+    (1.25, False), (1.5, False), (1.6, True), (2.0, True), (3.0, True),
+])
+def test_strict_range_flag(p, inside):
+    # the paper's strict inequality holds for (2d+2)/(d+2) < p < inf, so the
+    # end point p = 1.5 of the plane lies outside
+    assert strict_p_min() == 1.5 and strict_p_min(3) == 1.6
+    D = PuncturedDomain(rasterize(Disk((0.25, 0.1), 0.2), _grid(16)), ())
+    v = fk_check(D, Polarizer((1.0, 0.0), 0.0), p)
+    assert v.p_in_strict_range is inside
+    sweep = build_sweep([0.0], [solve(triangulate(D), SolverConfig(p=p))],
+                        SolverConfig(p=p))
+    assert sweep.p_in_strict_range is inside
 
 
 def test_fk_neumann_inner_requires_symmetry():
