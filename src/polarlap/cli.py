@@ -365,7 +365,7 @@ def _dispatch(cfg: ScenarioConfig, out: Path) -> bool:
 
     if kind == "fk-check":
         D = cfg.domain.build(cfg.grid)
-        verdict = xp.fk_check(D, cfg.polarizer, cfg.solver.p, cfg.solver)
+        verdict = xp.fk_check(D, cfg.polarizer, cfg.solver)
         _write(out / "result.csv", formats.sweep_to_csv(
             [0.0, 1.0], [verdict.lambda_before, verdict.lambda_after],
             [verdict.converged_before, verdict.converged_after], [0, 0],
@@ -376,17 +376,16 @@ def _dispatch(cfg: ScenarioConfig, out: Path) -> bool:
     if kind == "translate-sweep":
         t = cfg.translate
         sweep = xp.translate_sweep(t.outer, t.obstacle, t.direction, t.s_values,
-                                   cfg.solver.p, cfg.grid, t.bc_outer,
-                                   t.bc_obstacle, cfg.solver,
-                                   fixed_holes=t.fixed_holes)
+                                   cfg.solver, cfg.grid, t.bc_outer,
+                                   t.bc_obstacle, fixed_holes=t.fixed_holes)
         _write_sweep_outputs(out, sweep, sweep, "shift")
         return not all(sweep.converged)
 
     if kind == "rotate-sweep":
         r = cfg.rotate
         sweep = xp.rotate_sweep(r.variant, r.outer, r.fixed_hole, r.obstacle,
-                                r.anchor, r.axis, r.s_values, cfg.solver.p,
-                                cfg.grid, cfg.solver)
+                                r.anchor, r.axis, r.s_values, cfg.solver,
+                                cfg.grid)
         _write_sweep_outputs(out, sweep, sweep, "cos(angle)")
         return not all(sweep.converged)
 
@@ -394,9 +393,8 @@ def _dispatch(cfg: ScenarioConfig, out: Path) -> bool:
         a = cfg.annulus
         report = xp.annulus_study(a.outer_radius, a.hole_radius,
                                   a.eccentricity, a.obstacle_radius,
-                                  cfg.solver.p, cfg.grid, cfg.solver,
-                                  a.step_cells, a.line_offset,
-                                  a.circles or None)
+                                  cfg.solver, cfg.grid, a.step_cells,
+                                  a.line_offset, a.circles or None)
         sweep = report.axis_sweep
         _write_sweep_outputs(out, sweep, report, "shift")
         return not all(sweep.converged)
@@ -404,8 +402,7 @@ def _dispatch(cfg: ScenarioConfig, out: Path) -> bool:
     if kind == "symmetry-check":
         D = cfg.domain.build(cfg.grid)
         sym = cfg.symmetry
-        report = xp.symmetry_check(D, sym.anchor, sym.axis, cfg.solver.p,
-                                   cfg.solver)
+        report = xp.symmetry_check(D, sym.anchor, sym.axis, cfg.solver)
         _write(out / "result.csv", formats.sweep_to_csv(
             [0.0], [report.lam], [report.converged], [0], [0.0]))
         _write(out / "verdict.json", formats.dumps_json(report.to_dict()))

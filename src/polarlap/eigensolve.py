@@ -23,8 +23,7 @@ or lam; a stage that fails goes back to the last accepted iterate with
 half the p-step, and an easy one doubles it.  Every p stops on the same
 bound: max|grad E - lam grad M| <= outer_tol * lam * max|grad M| with E =
 energy_p and M = mass_p, which at p = 2 is the LOBPCG bound above.
-smoothing_eps (relative to max|grad v|) floors |grad v| in the Newton
-Hessian; inner_tol and max_inner are validated but no step reads them.
+The Newton Hessian floors |grad v| at 1e-10 max|grad v|.
 An inverse-iteration warm-up for Newton spent most of a p = 3 solve, and
 a nonlinear analogue of the LOBPCG step at p = 3 stalled near a 3e-5
 residual.
@@ -43,7 +42,7 @@ from __future__ import annotations
 
 import copy
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -69,24 +68,18 @@ from .rearrange import GridFunction
 class SolverConfig:
     p: float = 2.0
     outer_tol: float = 1e-8
-    inner_tol: float = 1e-9
     max_outer: int = 200
-    max_inner: int = 5000
-    smoothing_eps: float = 1e-10
-    # inner_tol and max_inner are validated but read by no solver step
 
     def __post_init__(self):
         if not self.p > 1.0:
             raise ValueError("p must exceed 1")
-        for name in ("outer_tol", "inner_tol", "smoothing_eps"):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"{name} must be positive")
-        for name in ("p", "outer_tol", "inner_tol", "smoothing_eps"):
+        if not self.outer_tol > 0.0:
+            raise ValueError("outer_tol must be positive")
+        for name in ("p", "outer_tol"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
-        for name in ("max_outer", "max_inner"):
-            if not getattr(self, name) >= 1:
-                raise ValueError(f"{name} must be at least 1")
+        if not self.max_outer >= 1:
+            raise ValueError("max_outer must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -237,12 +230,12 @@ def _smallest_eigenpair(A: list) -> tuple[float, list]:
     return A[i][i], [V[q][i] for q in range(k)]
 
 
-def _lobpcg(M: TriMesh, T: _TwoGrid, x: np.ndarray, cfg: SolverConfig
-            ) -> tuple[np.ndarray, float, float, int, bool]:
+def _lobpcg(M: TriMesh, T: _TwoGrid, x: np.ndarray, tol: float,
+            max_steps: int) -> tuple[np.ndarray, float, float, int, bool]:
     """Single-vector LOBPCG for K x = lam B x (B the lumped mass on the
-    free nodes) from the B-unit x, preconditioned by T; returns the last
-    iterate, lam, the residual, the number of steps and whether the
-    residual bound was met.
+    free nodes) from the B-unit x, preconditioned by T, for at most
+    max_steps steps; returns the last iterate, lam, the residual, the
+    number of steps and whether |K x - lam B x|_inf <= tol lam |B x|_inf.
 
     The basis rows x, w = T r and the previous direction d are kept
     B-orthonormal together with their K-images in one preallocated block,
@@ -273,11 +266,11 @@ def _lobpcg(M: TriMesh, T: _TwoGrid, x: np.ndarray, cfg: SolverConfig
         return lam
 
     def small() -> bool:
-        return np.abs(tmp).max() <= cfg.outer_tol * lam * np.abs(bx).max()
+        return np.abs(tmp).max() <= tol * lam * np.abs(bx).max()
 
     lam = residual()
     iters = 0
-    for iters in range(1, cfg.max_outer + 1):
+    for iters in range(1, max_steps + 1):
         Z[1, 0] = T.matvec(tmp)
         Z[1, 1] = K @ Z[1, 0]
         basis = [0]
@@ -327,21 +320,21 @@ def _mass_normalize(M: TriMesh, free_vals: np.ndarray, p: float) -> np.ndarray:
     return v / mass_flat(M, M.embed(v), p) ** (1.0 / p)
 
 
-def _hessian(M: TriMesh, asm: _Assembler, flat: np.ndarray,
-             cfg: SolverConfig) -> sp.csr_matrix:
+def _hessian(M: TriMesh, asm: _Assembler, flat: np.ndarray, p: float
+             ) -> sp.csr_matrix:
     """Hessian of energy_p/p at the nodal vector flat, on the free nodes,
-    with each triangle's |grad v|^2 raised by
-    (max(smoothing_eps, 1e-10) max|grad v|)^2.
+    with each triangle's |grad v|^2 raised by (1e-10 max|grad v|)^2.
 
     Its local eigenvalues are then at least min(1, p-1) times the raised
     |grad v|^(p-2), so it is positive definite where the exact one is
     singular (p > 2) or unbounded (p < 2); the floor scales with v, so it
     does not depend on the size of the iterate.
     """
-    p = cfg.p
     tgx, tgy = triangle_gradients(M, flat)
     g2 = tgx * tgx + tgy * tgy
-    d2 = g2 + max(cfg.smoothing_eps, 1e-10) ** 2 * g2.max(initial=0.0)
+    # 1e-10 ** 2 differs from the float 1e-20 in its last bits, and the
+    # eigenvalues the tests pin were computed with the former
+    d2 = g2 + 1e-10 ** 2 * g2.max(initial=0.0)
     wts = d2 ** (0.5 * p - 1.0)
     fac = (p - 2.0) * d2 ** (0.5 * p - 2.0)
     q = tgx[:, None] * M.grad_x + tgy[:, None] * M.grad_y
@@ -349,8 +342,7 @@ def _hessian(M: TriMesh, asm: _Assembler, flat: np.ndarray,
 
 
 def _newton_step(M: TriMesh, asm: _Assembler, T: _TwoGrid, x: np.ndarray,
-                 lam: float, r: np.ndarray, cfg: SolverConfig
-                 ) -> np.ndarray | None:
+                 lam: float, r: np.ndarray, p: float) -> np.ndarray | None:
     """One Newton step on the eigenpair from the unit-mass iterate x with
     Rayleigh quotient lam and residual r = grad E - lam grad M (p != 2):
     the new iterate |x + t| at unit mass, or None when the solve for t
@@ -370,12 +362,11 @@ def _newton_step(M: TriMesh, asm: _Assembler, T: _TwoGrid, x: np.ndarray,
     from one, so a solve that misses its tolerance or ends on nonpositive
     curvature t^T Q^T A Q t <= 0 fails.
     """
-    p = cfg.p
     flat = M.embed(x)
     g = grad_mass_flat(M, flat, p) / p
     h = np.zeros_like(x)  # m |x|^(p-2): the Hessian of M/p is (p-1) diag(h)
     np.divide(g, x, out=h, where=x != 0.0)
-    Kh = _hessian(M, asm, flat, cfg)
+    Kh = _hessian(M, asm, flat, p)
     A = Kh - sp.diags(lam * (p - 1.0) * h)
     gx = float(g @ x)
 
@@ -448,7 +439,7 @@ def _continuation(M: TriMesh, asm: _Assembler, T: _TwoGrid, x: np.ndarray,
     """
     p = cfg.p
     x, _, _, iters, _ = _lobpcg(M, T, _mass_normalize(M, x, 2.0),
-                                replace(cfg, p=2.0, outer_tol=_STAGE_TOL))
+                                _STAGE_TOL, cfg.max_outer)
     done, step = 2.0, math.copysign(_P_STEP, p - 2.0)
     with np.errstate(all="ignore"):
         while True:
@@ -461,7 +452,7 @@ def _continuation(M: TriMesh, asm: _Assembler, T: _TwoGrid, x: np.ndarray,
                     and iters < cfg.max_outer:
                 iters += 1
                 k += 1
-                y_new = _newton_step(M, asm, T, y, lam, r, replace(cfg, p=q)) \
+                y_new = _newton_step(M, asm, T, y, lam, r, q) \
                     if math.isfinite(lam) and math.isfinite(res) else None
                 trial = None if y_new is None else _evaluate(M, y_new, q)
                 if trial is None or not (trial[2] < res or trial[0] < lam):
@@ -508,7 +499,8 @@ def solve(M: TriMesh, cfg: SolverConfig | None = None) -> EigenResult:
     T = _TwoGrid(M, K)
     del K
     if p == 2.0:
-        x, lam, res, iters, converged = _lobpcg(M, T, x, cfg)
+        x, lam, res, iters, converged = _lobpcg(M, T, x, cfg.outer_tol,
+                                                cfg.max_outer)
     else:
         x, lam, res, iters, converged = _continuation(M, asm, T, x, cfg)
     return EigenResult(lam, M.function_from_flat(M.embed(x)), iters, res,

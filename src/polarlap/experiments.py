@@ -4,7 +4,7 @@ for the polarization inequality and the obstacle-motion monotonicity checks."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
@@ -136,15 +136,13 @@ class FkVerdict:
     p_in_strict_range: bool  # p > strict_p_min(): inside the paper's theorem
 
 
-def fk_check(D: PuncturedDomain, H: Polarizer, p: float,
-             cfg: Optional[SolverConfig] = None) -> FkVerdict:
+def fk_check(D: PuncturedDomain, H: Polarizer, cfg: SolverConfig) -> FkVerdict:
     """Solve on D and on its polarization, then compare first eigenvalues.
 
     Neumann boundary families must be invariant under the reflection; the
     strictness case is classified exactly from the invariance witnesses of
     the free region.
     """
-    cfg = _with_p(cfg, p)
     if D.bc_outer == NEUMANN and not is_reflection_symmetric(H, D.outer):
         raise SymmetryHypothesisViolated(
             "Neumann outer set is not reflection-invariant")
@@ -171,12 +169,9 @@ def fk_check(D: PuncturedDomain, H: Polarizer, p: float,
     gap = before.lam - after.lam
     relation = "leq" if after.lam <= before.lam + EPS_DISC_FACTOR * before.lam \
         else "violated"
-    return FkVerdict(before.lam, after.lam, relation, strict_case, gap, p,
-                     before.converged, after.converged, p > strict_p_min())
-
-
-def _with_p(cfg: Optional[SolverConfig], p: float) -> SolverConfig:
-    return SolverConfig(p=p) if cfg is None else replace(cfg, p=p)
+    return FkVerdict(before.lam, after.lam, relation, strict_case, gap, cfg.p,
+                     before.converged, after.converged,
+                     cfg.p > strict_p_min())
 
 
 # ---------------------------------------------------------------------------
@@ -192,9 +187,8 @@ def check_unit(v, name: str) -> None:
 
 
 def translate_sweep(outer_shape: ShapeSpec, obstacle_shape: ShapeSpec, h,
-                    s_values: Sequence[float], p: float, grid: Grid,
+                    s_values: Sequence[float], cfg: SolverConfig, grid: Grid,
                     bc_outer: str = DIRICHLET, bc_obstacle: str = DIRICHLET,
-                    cfg: Optional[SolverConfig] = None,
                     fixed_holes: Sequence[ShapeSpec] = ()) -> SweepResult:
     """First eigenvalue along obstacle translations s * h.
 
@@ -204,7 +198,6 @@ def translate_sweep(outer_shape: ShapeSpec, obstacle_shape: ShapeSpec, h,
     symmetric about it; offsets whose invariance or containment fails are
     dropped with a note.
     """
-    cfg = _with_p(cfg, p)
     check_unit(h, "translation direction")
     h = np.asarray(h, dtype=float)
     axis, _ = normal_axis(h)
@@ -287,8 +280,8 @@ def check_variant(variant: str) -> None:
 
 def rotate_sweep(variant: str, outer_shape: ShapeSpec,
                  fixed_hole: Optional[ShapeSpec], obstacle_shape: ShapeSpec,
-                 a, eta, s_values: Sequence[float], p: float, grid: Grid,
-                 cfg: Optional[SolverConfig] = None) -> SweepResult:
+                 a, eta, s_values: Sequence[float], cfg: SolverConfig,
+                 grid: Grid) -> SweepResult:
     """First eigenvalue along obstacle rotations about the anchor a.
 
     The fixed domain and the obstacle (reference pose) must be foliated
@@ -296,7 +289,6 @@ def rotate_sweep(variant: str, outer_shape: ShapeSpec,
     anchored pool.  Rotated poses that leave the domain are dropped with a
     note.
     """
-    cfg = _with_p(cfg, p)
     a = np.asarray(a, dtype=float)
     check_unit(eta, "axis direction")
     check_variant(variant)
@@ -407,8 +399,8 @@ def check_annulus(R: float, r: float, alpha: float, rho: float,
         raise ValueError(f"step_cells must be at least 1, got {step_cells}")
 
 
-def annulus_study(R: float, r: float, alpha: float, rho: float, p: float,
-                  grid: Grid, cfg: Optional[SolverConfig] = None,
+def annulus_study(R: float, r: float, alpha: float, rho: float,
+                  cfg: SolverConfig, grid: Grid,
                   step_cells: int = 1, line_offset: Optional[float] = None,
                   circle_specs: Optional[Sequence[tuple]] = None) -> AnnulusStudyReport:
     """Obstacle-placement study in the eccentric annulus B_R(0) minus a
@@ -420,7 +412,6 @@ def annulus_study(R: float, r: float, alpha: float, rho: float, p: float,
     ordering checks, and a unimodality report for the right branch.
     """
     check_annulus(R, r, alpha, rho, step_cells)
-    cfg = _with_p(cfg, p)
     d = grid.spacing
     outer = rasterize(Disk((0.0, 0.0), R), grid)
     hole = rasterize(Disk((-alpha, 0.0), r, closed=True), grid)
@@ -544,11 +535,10 @@ class SymmetryReport:
         }
 
 
-def symmetry_check(D: PuncturedDomain, a, eta, p: float,
-                   cfg: Optional[SolverConfig] = None) -> SymmetryReport:
+def symmetry_check(D: PuncturedDomain, a, eta, cfg: SolverConfig
+                   ) -> SymmetryReport:
     """Solve on D and measure how far the eigenfunction is from its own
     polarization over the anchored polarizer pool."""
-    cfg = _with_p(cfg, p)
     check_unit(eta, "axis direction")
     a = np.asarray(a, dtype=float)
     eta = np.asarray(eta, dtype=float)

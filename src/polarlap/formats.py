@@ -7,6 +7,7 @@ re-running a scenario reproduces its outputs byte for byte.
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 
@@ -67,8 +68,21 @@ def sweep_to_csv(params, lambdas, converged, outer_iters, residuals) -> str:
     return "\n".join(rows) + "\n"
 
 
+def _finite(v):
+    """v with every non-finite float replaced by None."""
+    if isinstance(v, float):
+        return v if math.isfinite(v) else None
+    if isinstance(v, dict):
+        return {k: _finite(x) for k, x in v.items()}
+    if isinstance(v, (list, tuple)):
+        return [_finite(x) for x in v]
+    return v
+
+
 def dumps_json(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    """Strict JSON (RFC 8259): a non-finite float is written null."""
+    return json.dumps(_finite(obj), indent=2, sort_keys=True,
+                      allow_nan=False) + "\n"
 
 
 def _svg_num(x: float) -> str:

@@ -50,7 +50,7 @@ from polarlap.discretize import (
     mass_p,
     triangulate,
 )
-from polarlap.eigensolve import solve
+from polarlap.eigensolve import SolverConfig, solve
 from polarlap.experiments import (
     annulus_study,
     fk_check,
@@ -345,7 +345,7 @@ def test_criterion_05_fk_inequality():
     strict_hits = 0
     case_mismatch = []
     for i, (D, H, p, expected_case) in enumerate(pairs):
-        v = fk_check(D, H, p)
+        v = fk_check(D, H, SolverConfig(p=p))
         if v.relation != "leq":
             leq_all = False
         if expected_case is not None and v.strict_case != expected_case:
@@ -373,7 +373,7 @@ def test_criterion_06_translation_monotonicity():
     for p in (2.0, 3.0):
         sw = translate_sweep(Disk((0.0, 0.0), 1.0),
                              Disk((0.0, 0.0), 0.3, closed=True),
-                             (1.0, 0.0), svals, p, g)
+                             (1.0, 0.0), svals, SolverConfig(p=p), g)
         drops = [(a - b) / a for a, b in zip(sw.lambdas, sw.lambdas[1:])]
         ok &= sw.direction == "decreasing" and len(sw.params) == 5
         ok &= all(dr > 1e-4 for dr in drops)
@@ -399,7 +399,7 @@ def test_criterion_07_rotation_monotonicity():
         sw = rotate_sweep("neumann-inner", Disk((0.0, 0.0), 1.0),
                           Disk(a, 0.15625, closed=True),
                           Disk((0.25, 0.0), 0.15625, closed=True),
-                          a, eta, svals, p, g)
+                          a, eta, svals, SolverConfig(p=p), g)
         diffs = [(b - a_) / a_ for a_, b in zip(sw.lambdas, sw.lambdas[1:])]
         ok &= sw.direction == "increasing" and len(sw.params) == 5
         ok &= all(df > 1e-4 for df in diffs)
@@ -409,7 +409,7 @@ def test_criterion_07_rotation_monotonicity():
         sw = rotate_sweep("neumann-inner", Disk(a0, 1.0),
                           Disk(a0, 0.15625, closed=True),
                           Disk((0.5, 0.0), 0.15625, closed=True),
-                          a0, eta, svals, p, g)
+                          a0, eta, svals, SolverConfig(p=p), g)
         spread = (max(sw.lambdas) - min(sw.lambdas)) / min(sw.lambdas)
         ok &= spread <= 1e-3 and sw.direction == "constant"
         details.append(f"radial p={p:g}: spread {spread:.1e}")
@@ -431,7 +431,8 @@ def test_criterion_08_eigenfunction_symmetry():
     for bc_inner in (DIRICHLET, NEUMANN):
         D = PuncturedDomain(outer, (hole,), bc_outer=DIRICHLET,
                             bc_inner=bc_inner)
-        rep = symmetry_check(D, (-0.25, 0.0), (1.0, 0.0), 2.0)
+        rep = symmetry_check(D, (-0.25, 0.0), (1.0, 0.0),
+                             SolverConfig(p=2.0))
         ok &= rep.max_defect <= 1e-3 and rep.converged
         details.append(f"{bc_inner}-hole defect {rep.max_defect:.1e} "
                        f"over {len(rep.defects)} polarizers")
@@ -446,8 +447,8 @@ def test_criterion_08_eigenfunction_symmetry():
 def test_criterion_09_annulus_study():
     t0 = time.time()
     g = _grid64()
-    rep = annulus_study(1.0, 0.2, 0.25, 0.1, 2.0, g, step_cells=1,
-                        line_offset=0.4375)
+    rep = annulus_study(1.0, 0.2, 0.25, 0.1, SolverConfig(p=2.0), g,
+                        step_cells=1, line_offset=0.4375)
     # the on-axis [-alpha, 0] segment is empty for these parameters (the
     # obstacle cannot clear the hole there); the study records that, and
     # the increasing claims are certified on the nonempty segments

@@ -21,6 +21,7 @@ from polarlap.geometry import Grid, RasterSet
 from polarlap.rearrange import GridFunction
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+PERFBENCH_CONFIG_DIR = CONFIG_DIR.parent / "perfbench" / "configs"
 
 MINIMAL_SOLVE = """
 {
@@ -155,9 +156,14 @@ def test_kind_requires_section():
         parse_config(json.dumps(bad))
 
 
-@pytest.mark.parametrize("name", sorted(p.name for p in CONFIG_DIR.glob("*.cfg")))
-def test_shipped_configs_round_trip(name):
-    text = (CONFIG_DIR / name).read_text()
+# the benchmark's configs are read too, so one that sets a key the parser
+# rejects fails here rather than in a benchmark run
+@pytest.mark.parametrize(
+    "path", sorted(CONFIG_DIR.glob("*.cfg"))
+    + sorted(PERFBENCH_CONFIG_DIR.glob("*.cfg")),
+    ids=lambda p: p.name if p.parent == CONFIG_DIR else f"perfbench/{p.name}")
+def test_shipped_configs_round_trip(path):
+    text = path.read_text()
     cfg = parse_config(text)
     emitted = emit_config(cfg)
     cfg2 = parse_config(emitted)
@@ -370,6 +376,10 @@ MALFORMED_BASES = {
     ("solve", "--grid-n", "0", "--grid-n"),
     ("solve", "--grid-n", "1", "--grid-n"),
     ("solve", "--grid-n", "-3", "--grid-n"),
+    ("translate", "solver.inner_tol", 1e-9,
+     "unknown key(s) ['inner_tol'] in solver"),
+    ("translate", "solver.smoothing_eps", 1e-10,
+     "unknown key(s) ['smoothing_eps'] in solver"),
 ])
 def test_main_malformed_value_one_line_error(tmp_path, capsys, base, path,
                                              value, field):
@@ -408,11 +418,19 @@ def test_main_no_free_nodes_exit_2(tmp_path, capsys):
 def test_main_extreme_p_ends_without_traceback(tmp_path, capsys, p, code, line):
     # an infinite p is rejected with the config errors; at a finite p whose
     # energies overflow every continuation stage fails, and the solve ends
-    # unconverged after max_outer steps
+    # unconverged after max_outer steps, its infinite lambda written as a
+    # strict-JSON null
     code_run = main(["solve", "--config", str(CONFIG_DIR / "solve_square.cfg"),
                      "--p", p, "--grid-n", "8", "--out", str(tmp_path / "out")])
     assert code_run == code
     assert capsys.readouterr().err.splitlines() == [line]
+    if code == 3:
+        def reject(name):
+            raise ValueError(f"verdict.json holds {name}")
+
+        verdict = json.loads((tmp_path / "out" / "verdict.json").read_text(),
+                             parse_constant=reject)
+        assert verdict["lambda"] is None
 
 
 def test_main_solve_with_overrides(tmp_path):

@@ -222,15 +222,14 @@ def test_hot_loop_builds_no_grid_functions(monkeypatch):
 
 
 @pytest.mark.parametrize("field, value", [
-    ("max_outer", 0), ("max_outer", -3), ("max_inner", 0),
+    ("max_outer", 0), ("max_outer", -3),
 ])
 def test_solver_config_rejects_step_limit_below_one(field, value):
     with pytest.raises(ValueError, match=f"{field} must be at least 1"):
         SolverConfig(**{field: value})
 
 
-@pytest.mark.parametrize("field", ["p", "outer_tol", "inner_tol",
-                                   "smoothing_eps"])
+@pytest.mark.parametrize("field", ["p", "outer_tol"])
 @pytest.mark.parametrize("value", [math.inf, math.nan])
 def test_solver_config_rejects_non_finite(field, value):
     with pytest.raises(ValueError, match=field):
@@ -311,7 +310,7 @@ def test_solve_p16_small_mesh():
     _check_result_invariants(mesh, res, 1.6)
 
 
-def test_armijo_failure_is_not_converged(monkeypatch):
+def test_nan_gradient_is_not_converged(monkeypatch):
     # a NaN gradient (as after an overflow) must not raise; LOBPCG steps
     # count toward max_outer, and here the p = 2 start alone takes all five
     # (test_nan_residual_fails_every_stage goes past it)
@@ -466,7 +465,7 @@ def _count_energy_calls(monkeypatch) -> list:
     return calls
 
 
-def test_p15_descent_stops_at_rounding_floor(monkeypatch):
+def test_p15_energy_evaluations_are_bounded(monkeypatch):
     # continuation from the p = 2 eigenfunction (2 -> 1.5 in one stage)
     # makes about 10 evaluations in 19 steps; an inverse-iteration inner
     # descent in the p = 2 metric took 1,163, and 155,270 when it ran on
@@ -490,7 +489,7 @@ def test_p19_newton_work_is_bounded(monkeypatch):
     assert abs(res.lam - 17.42371027224627) <= 1e-10 * res.lam
 
 
-def test_p3_newton_starts_on_ray_minimizer(monkeypatch, ref_stiffness):
+def test_p3_stiffness_assemblies_are_bounded(monkeypatch, ref_stiffness):
     # one assembly per Newton step: continuation 2 -> 2.5 -> 3 from the
     # p = 2 eigenfunction assembles 12 matrices; inverse iteration
     # started each inner solve on its ray minimizer and assembled 42 in 20
@@ -559,9 +558,9 @@ def _record_stage_exponents(monkeypatch) -> list:
     newton_step = eigensolve._newton_step
     exponents = []
 
-    def recorded(M, asm, T, x, lam, r, cfg):
-        exponents.append(cfg.p)
-        return newton_step(M, asm, T, x, lam, r, cfg)
+    def recorded(M, asm, T, x, lam, r, p):
+        exponents.append(p)
+        return newton_step(M, asm, T, x, lam, r, p)
 
     monkeypatch.setattr(eigensolve, "_newton_step", recorded)
     return exponents

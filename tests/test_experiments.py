@@ -51,7 +51,7 @@ def _grid(n=48, half=0.75):
 def test_fk_symmetric_domain_invariant():
     g = _grid()
     D = PuncturedDomain(rasterize(Disk((0.0, 0.0), 0.5), g), ())
-    v = fk_check(D, Polarizer((1.0, 0.0), 0.0), 2.0)
+    v = fk_check(D, Polarizer((1.0, 0.0), 0.0), SolverConfig(p=2.0))
     assert v.strict_case == "invariant"
     assert v.relation == "leq"
     assert abs(v.gap) <= 1e-3 * v.lambda_before
@@ -61,7 +61,7 @@ def test_fk_oblique_ellipse_strict_p3():
     g = _grid()
     Om = rasterize(Ellipse((0.03125, 0.0625), (0.5, 0.22), angle=0.9), g)
     D = PuncturedDomain(Om, ())
-    v = fk_check(D, Polarizer((1.0, 0.0), 0.0), 3.0)
+    v = fk_check(D, Polarizer((1.0, 0.0), 0.0), SolverConfig(p=3.0))
     assert v.strict_case == "strict"
     assert v.relation == "leq"
     assert v.gap > 1e-3 * v.lambda_before
@@ -71,7 +71,7 @@ def test_fk_reflected_congruent():
     g = _grid()
     D = PuncturedDomain(rasterize(Disk((0.25, 0.1), 0.2), g), ())
     # domain entirely on the complement side: polarization is the mirror
-    v = fk_check(D, Polarizer((1.0, 0.0), 0.0), 2.0)
+    v = fk_check(D, Polarizer((1.0, 0.0), 0.0), SolverConfig(p=2.0))
     assert v.strict_case == "reflected"
     assert abs(v.gap) <= 1e-9 * v.lambda_before
 
@@ -84,7 +84,7 @@ def test_strict_range_flag(p, inside):
     # end point p = 1.5 of the plane lies outside
     assert strict_p_min() == 1.5 and strict_p_min(3) == 1.6
     D = PuncturedDomain(rasterize(Disk((0.25, 0.1), 0.2), _grid(16)), ())
-    v = fk_check(D, Polarizer((1.0, 0.0), 0.0), p)
+    v = fk_check(D, Polarizer((1.0, 0.0), 0.0), SolverConfig(p=p))
     assert v.p_in_strict_range is inside
     sweep = build_sweep([0.0], [solve(triangulate(D), SolverConfig(p=p))],
                         SolverConfig(p=p))
@@ -97,7 +97,7 @@ def test_fk_neumann_inner_requires_symmetry():
     hole = rasterize(Disk((0.125, 0.0), 0.1, closed=True), g)
     D = PuncturedDomain(outer, (hole,), bc_outer=DIRICHLET, bc_inner=NEUMANN)
     with pytest.raises(SymmetryHypothesisViolated):
-        fk_check(D, Polarizer((1.0, 0.0), 0.0), 2.0)
+        fk_check(D, Polarizer((1.0, 0.0), 0.0), SolverConfig(p=2.0))
 
 
 def test_fk_neumann_inner_symmetric_ok():
@@ -105,7 +105,7 @@ def test_fk_neumann_inner_symmetric_ok():
     outer = rasterize(Ellipse((0.03125, 0.0), (0.6, 0.35), angle=0.7), g)
     hole = rasterize(Disk((0.0, 0.0), 0.09375, closed=True), g)
     D = PuncturedDomain(outer, (hole,), bc_outer=DIRICHLET, bc_inner=NEUMANN)
-    v = fk_check(D, Polarizer((1.0, 0.0), 0.0), 2.0)
+    v = fk_check(D, Polarizer((1.0, 0.0), 0.0), SolverConfig(p=2.0))
     assert v.relation == "leq"
 
 
@@ -121,7 +121,7 @@ def test_fk_randomized_never_violated(rng):
         D = PuncturedDomain(rasterize(shape, g), ())
         H = Polarizer((1.0, 0.0), 0.0) if k % 2 else Polarizer((0.0, 1.0), 0.0)
         p = 2.0 if k < 4 else 3.0
-        v = fk_check(D, H, p)
+        v = fk_check(D, H, SolverConfig(p=p))
         assert v.relation == "leq"
         assert v.converged_before and v.converged_after
 
@@ -132,7 +132,7 @@ def test_fk_inadmissible_polarizer():
     hole = rasterize(Disk((0.0, 0.0), 0.15, closed=True), g)
     D = PuncturedDomain(outer, (hole,), bc_outer=DIRICHLET, bc_inner=DIRICHLET)
     with pytest.raises(NotAdmissible):
-        fk_check(D, Polarizer((1.0, 0.0), 0.375), 2.0)
+        fk_check(D, Polarizer((1.0, 0.0), 0.375), SolverConfig(p=2.0))
 
 
 # ---------------------------------------------------------------------------
@@ -144,7 +144,8 @@ def test_translate_disk_decreasing():
     g = _grid(n=64, half=0.625)
     d = g.spacing
     sw = translate_sweep(Disk((0.0, 0.0), 0.5), Disk((0.0, 0.0), 0.15, closed=True),
-                         (1.0, 0.0), [0.0, 2 * d, 4 * d, 6 * d], 2.0, g)
+                         (1.0, 0.0), [0.0, 2 * d, 4 * d, 6 * d],
+                         SolverConfig(p=2.0), g)
     assert sw.direction == "decreasing"
     assert sw.min_margin > 1e-4
 
@@ -154,9 +155,9 @@ def test_translate_mirror_sweeps_match():
     d = g.spacing
     svals = [0.0, 2 * d, 4 * d]
     a = translate_sweep(Disk((0.0, 0.0), 0.5), Disk((0.0, 0.0), 0.15, closed=True),
-                        (1.0, 0.0), svals, 2.0, g)
+                        (1.0, 0.0), svals, SolverConfig(p=2.0), g)
     b = translate_sweep(Disk((0.0, 0.0), 0.5), Disk((0.0, 0.0), 0.15, closed=True),
-                        (-1.0, 0.0), svals, 2.0, g)
+                        (-1.0, 0.0), svals, SolverConfig(p=2.0), g)
     for la, lb in zip(a.lambdas, b.lambdas):
         assert abs(la - lb) / la < 1e-9
 
@@ -167,7 +168,8 @@ def test_translate_composite_domain_decreasing():
     d = g.spacing
     outer = UnionShape((Disk((0.0, 0.0), 0.75), Rhombus((0.0, 0.0), 0.25)))
     ob = Rhombus((0.0, 0.0), 0.0625, closed=True)
-    sw = translate_sweep(outer, ob, (1.0, 0.0), [0.0, 4 * d, 8 * d], 2.0, g)
+    sw = translate_sweep(outer, ob, (1.0, 0.0), [0.0, 4 * d, 8 * d],
+                         SolverConfig(p=2.0), g)
     assert sw.direction == "decreasing"
     assert sw.min_margin > 1e-4
 
@@ -176,7 +178,8 @@ def test_translate_infeasible_offsets_dropped():
     g = _grid(n=48, half=0.75)
     d = g.spacing
     sw = translate_sweep(Disk((0.0, 0.0), 0.5), Disk((0.0, 0.0), 0.15, closed=True),
-                         (1.0, 0.0), [0.0, 4 * d, 30 * d], 2.0, g)
+                         (1.0, 0.0), [0.0, 4 * d, 30 * d],
+                         SolverConfig(p=2.0), g)
     assert len(sw.params) == 2
     assert any("dropped" in note for note in sw.notes)
 
@@ -187,16 +190,16 @@ def test_translate_assumption_violations():
     # outer not symmetric about the start line
     with pytest.raises(AssumptionViolated):
         translate_sweep(Disk((0.2, 0.0), 0.5), Disk((0.0, 0.0), 0.1, closed=True),
-                        (1.0, 0.0), [0.0, 2 * d], 2.0, g)
+                        (1.0, 0.0), [0.0, 2 * d], SolverConfig(p=2.0), g)
     # obstacle not Steiner symmetric about the start line
     with pytest.raises(AssumptionViolated):
         translate_sweep(Disk((0.0, 0.0), 0.5),
                         Disk((4 * d, 0.0), 0.1, closed=True),
-                        (1.0, 0.0), [0.0, 2 * d], 2.0, g)
+                        (1.0, 0.0), [0.0, 2 * d], SolverConfig(p=2.0), g)
     # shift not grid-exact
     with pytest.raises(AssumptionViolated):
         translate_sweep(Disk((0.0, 0.0), 0.5), Disk((0.0, 0.0), 0.1, closed=True),
-                        (1.0, 0.0), [0.0, 1.37 * d], 2.0, g)
+                        (1.0, 0.0), [0.0, 1.37 * d], SolverConfig(p=2.0), g)
 
 
 def test_non_finite_directions_rejected():
@@ -230,7 +233,7 @@ def test_rotate_eccentric_increasing():
     sw = rotate_sweep("neumann-inner", Disk((0.0, 0.0), 1.0),
                       Disk(a, 0.15625, closed=True),
                       Disk((0.25, 0.0), 0.15625, closed=True),
-                      a, (1.0, 0.0), svals, 2.0, g)
+                      a, (1.0, 0.0), svals, SolverConfig(p=2.0), g)
     assert sw.direction == "increasing"
     assert sw.min_margin > 1e-4
 
@@ -244,7 +247,7 @@ def test_rotate_radial_control_constant():
     sw = rotate_sweep("neumann-inner", Disk(a, 1.0),
                       Disk(a, 0.15625, closed=True),
                       Disk((0.5, 0.0), 0.21875, closed=True),
-                      a, (1.0, 0.0), svals, 2.0, g)
+                      a, (1.0, 0.0), svals, SolverConfig(p=2.0), g)
     spread = (max(sw.lambdas) - min(sw.lambdas)) / min(sw.lambdas)
     assert spread <= 1e-3
     assert any("radial" in n for n in sw.notes)
@@ -256,7 +259,7 @@ def test_rotate_repeated_s_constant():
     sw = rotate_sweep("neumann-inner", Disk((0.0, 0.0), 1.0),
                       Disk(a, 0.15625, closed=True),
                       Disk((0.25, 0.0), 0.15625, closed=True),
-                      a, (1.0, 0.0), [0.5, 0.5], 2.0, g)
+                      a, (1.0, 0.0), [0.5, 0.5], SolverConfig(p=2.0), g)
     assert sw.direction == "constant"
     assert sw.min_margin == 0.0
 
@@ -267,7 +270,7 @@ def test_rotate_neumann_outer_variant():
     svals = [0.0, math.cos(math.pi / 3), 1.0]
     sw = rotate_sweep("neumann-outer", Disk(a, 1.0), None,
                       Disk((0.5, 0.0), 0.21875, closed=True),
-                      a, (1.0, 0.0), svals, 2.0, g)
+                      a, (1.0, 0.0), svals, SolverConfig(p=2.0), g)
     # radial outer ball: the eigenvalue stays constant along rotations
     spread = (max(sw.lambdas) - min(sw.lambdas)) / min(sw.lambdas)
     assert spread <= 1e-3
@@ -285,8 +288,8 @@ def test_rotate_mirrored_axis_direction_matches():
                             Disk(a, 0.15625, closed=True),
                             Disk((0.25, 0.0), 0.15625, closed=True),
                             a, (1.0, 0.0),
-                            [s for s in svals], 2.0, g,
-                            cfg=None) if signed_y > 0 else None
+                            [s for s in svals], SolverConfig(p=2.0),
+                            g) if signed_y > 0 else None
 
     sw = run(1)
     # mirror the whole configuration through the x-axis by hand
@@ -314,7 +317,7 @@ def test_rotate_assumption_violated_for_anchor_off_nodes():
         rotate_sweep("neumann-inner", Disk((0.0, 0.0), 1.0),
                      Disk(a, 0.15625, closed=True),
                      Disk((0.247, 0.0), 0.15625, closed=True),
-                     a, (1.0, 0.0), [0.0, 1.0], 2.0, g)
+                     a, (1.0, 0.0), [0.0, 1.0], SolverConfig(p=2.0), g)
 
 
 # ---------------------------------------------------------------------------
@@ -324,8 +327,8 @@ def test_rotate_assumption_violated_for_anchor_off_nodes():
 
 def test_annulus_study_coarse():
     g = Grid((-1.0625, -1.0625), 2.125 / 68, 68, 68)  # spacing 1/32
-    rep = annulus_study(1.0, 0.2, 0.25, 0.1, 2.0, g, step_cells=2,
-                        line_offset=0.4375)
+    rep = annulus_study(1.0, 0.2, 0.25, 0.1, SolverConfig(p=2.0), g,
+                        step_cells=2, line_offset=0.4375)
     assert rep.mid_segment is None  # no admissible on-axis [-alpha, 0] points
     assert any("mid-increasing" in n for n in rep.notes)
     assert rep.offaxis_segment is not None
@@ -347,18 +350,19 @@ def test_annulus_concentric_matches_translation():
     # polarization-invariant (beyond (R + r) / 2), matching the study there
     g = Grid((-0.8125, -0.8125), 1.625 / 52, 52, 52)
     R, r, rho = 0.75, 0.2, 0.09375
-    rep = annulus_study(R, r, 0.0, rho, 2.0, g, step_cells=2)
+    rep = annulus_study(R, r, 0.0, rho, SolverConfig(p=2.0), g, step_cells=2)
     axis = dict(zip(rep.axis_sweep.params, rep.axis_sweep.lambdas))
     svals = sorted(s for s in axis if s >= (R + r) / 2)
     sw = translate_sweep(Disk((0.0, 0.0), R), Disk((0.0, 0.0), rho, closed=True),
-                         (1.0, 0.0), svals, 2.0, g,
+                         (1.0, 0.0), svals, SolverConfig(p=2.0), g,
                          fixed_holes=(Disk((0.0, 0.0), r, closed=True),))
     assert list(sw.params) == svals  # all kept: invariance holds out there
     for s, lam in zip(sw.params, sw.lambdas):
         assert lam == pytest.approx(axis[s], rel=1e-12)
     # inside (R + r) / 2 the invariance fails and offsets are dropped
     sw2 = translate_sweep(Disk((0.0, 0.0), R), Disk((0.0, 0.0), rho, closed=True),
-                          (1.0, 0.0), [0.375, 0.4375] + svals, 2.0, g,
+                          (1.0, 0.0), [0.375, 0.4375] + svals,
+                          SolverConfig(p=2.0), g,
                           fixed_holes=(Disk((0.0, 0.0), r, closed=True),))
     assert list(sw2.params) == svals
     assert sum("not polarization-invariant" in n for n in sw2.notes) == 2
@@ -367,14 +371,15 @@ def test_annulus_concentric_matches_translation():
 def test_annulus_rejects_bad_parameters():
     g = _grid()
     with pytest.raises(ValueError):
-        annulus_study(1.0, 0.2, 0.9, 0.1, 2.0, g)
+        annulus_study(1.0, 0.2, 0.9, 0.1, SolverConfig(p=2.0), g)
 
 
 def test_annulus_empty_admissible_set():
     from polarlap.errors import EmptyAdmissibleSet
     g = Grid((-0.8125, -0.8125), 1.625 / 52, 52, 52)
     with pytest.raises(EmptyAdmissibleSet):
-        annulus_study(0.75, 0.3, 0.0, 0.4, 2.0, g)  # obstacle can fit nowhere
+        # the obstacle can fit nowhere
+        annulus_study(0.75, 0.3, 0.0, 0.4, SolverConfig(p=2.0), g)
 
 
 # ---------------------------------------------------------------------------
@@ -387,7 +392,7 @@ def test_symmetry_concentric_annulus():
     outer = rasterize(Disk((0.0, 0.0), 1.0), g)
     hole = rasterize(Disk((0.0, 0.0), 0.2, closed=True), g)
     D = PuncturedDomain(outer, (hole,))
-    rep = symmetry_check(D, (0.0, 0.0), (1.0, 0.0), 2.0)
+    rep = symmetry_check(D, (0.0, 0.0), (1.0, 0.0), SolverConfig(p=2.0))
     assert rep.max_defect < 1e-6
 
 
@@ -396,7 +401,7 @@ def test_symmetry_eccentric_annulus():
     outer = rasterize(Disk((0.0, 0.0), 1.0), g)
     hole = rasterize(Disk((-0.25, 0.0), 0.2, closed=True), g)
     D = PuncturedDomain(outer, (hole,))
-    rep = symmetry_check(D, (-0.25, 0.0), (1.0, 0.0), 2.0)
+    rep = symmetry_check(D, (-0.25, 0.0), (1.0, 0.0), SolverConfig(p=2.0))
     assert rep.max_defect < 1e-3
 
 
@@ -419,7 +424,7 @@ def test_symmetry_requires_fss_domain():
     hole = rasterize(Disk((0.0, 0.375), 0.2, closed=True), g)  # off the ray
     D = PuncturedDomain(outer, (hole,))
     with pytest.raises(AssumptionViolated):
-        symmetry_check(D, (0.0, 0.0), (1.0, 0.0), 2.0)
+        symmetry_check(D, (0.0, 0.0), (1.0, 0.0), SolverConfig(p=2.0))
 
 
 # ---------------------------------------------------------------------------
