@@ -4,6 +4,11 @@ One entry point, `solve`, serves every p > 1 and works on free-node
 vectors through the flat discretize kernels; the GridFunction is built
 once, for the result.
 
+The free-node stiffness K is built once per solve, at every p, as the
+exact 5-point stencil that P1 elements give on this mesh
+(`_stencil_stiffness`); only Newton's Hessians (p != 2) go through the
+triangle-wise `_Assembler`, which is built on that path alone.
+
 At p = 2 the problem is the symmetric pencil (K, B) of the free-node
 stiffness and the lumped mass, solved by single-vector LOBPCG (Knyazev,
 SIAM J. Sci. Comput. 23, 2001): each step is a Rayleigh-Ritz on the
@@ -108,12 +113,47 @@ def rayleigh(M: TriMesh, u: GridFunction, p: float) -> float:
     return energy_p(M, u, p) / mass_p(M, u, p)
 
 
-class _Assembler:
-    """Free-node matrix assembly on the mesh's fixed sparsity pattern.
+def _stencil_stiffness(M: TriMesh) -> sp.csr_matrix:
+    """The stiffness sum_T area grad phi_i . grad phi_j on the free nodes,
+    built as the 5-point stencil it is on this mesh (Strang-Fix, An
+    Analysis of the Finite Element Method, 1973).
 
-    The unweighted stiffness is converted to CSR once; every kept local
-    entry's slot in that canonical structure is recorded, so each assembly
-    is one bincount into the same indices and indptr.
+    With s = area / spacing^2 the diagonal is 2 s per free cell at the node
+    and each cell edge gets -s per free cell that has it.  The couplings
+    along the diagonals that split the cells are exactly 0 and are not
+    stored, so K holds about 5 entries per row instead of 7.
+    """
+    inv = 1.0 / M.grid.spacing
+    s = inv * inv * M.area
+    c = np.pad(M.free_cells.mask, 1).astype(float)
+    # free cells lower-left, lower-right, upper-left and upper-right of
+    # each node
+    ll, lr, ul, ur = c[:-1, :-1], c[:-1, 1:], c[1:, :-1], c[1:, 1:]
+    f = M.free_nodes
+    nx1 = M.grid.nx + 1
+    # a row's columns in increasing order: south, west, itself, east, north
+    offsets = np.array([-nx1, -1, 0, 1, nx1])
+    counts = (ll + lr, ll + ul, ll + lr + ul + ur, lr + ur, ul + ur)
+    weights = (-s, -s, 2.0 * s, -s, -s)
+    data = np.stack([w * n.ravel()[f] for w, n in zip(weights, counts)],
+                    axis=1)
+    # a neighbour past the window's edge has a count of 0, so its clipped
+    # or wrapped column is dropped with the zeros
+    cols = M.free_index.take(f[:, None] + offsets, mode="clip")
+    keep = (data != 0.0) & (cols >= 0)
+    indptr = np.zeros(f.size + 1, dtype=np.int32)
+    np.cumsum(np.count_nonzero(keep, axis=1), out=indptr[1:])
+    return sp.csr_matrix((data[keep], cols[keep].astype(np.int32), indptr),
+                         shape=(f.size, f.size))
+
+
+class _Assembler:
+    """Newton's Hessian assembly on the mesh's fixed sparsity pattern.
+
+    The pattern holds every pair of nodes that share a triangle and is
+    converted to CSR once; every kept local entry's slot in that canonical
+    structure is recorded, so each assembly is one bincount into the same
+    indices and indptr.
     """
 
     def __init__(self, M: TriMesh):
@@ -140,17 +180,14 @@ class _Assembler:
         self.base_local += gy[:, :, None] * gy[:, None, :]
         self.base_local *= M.area
 
-    def stiffness(self, weights=None, rank_one=None) -> sp.csr_matrix:
-        """sum_T area w_T (grad phi_i . grad phi_j) [+ q_T q_T^T terms]."""
-        local = self.base_local
-        if weights is not None:
-            local = local * weights[:, None, None]
-        if rank_one is not None:
-            fac, q = rank_one  # (T,), (T,3)
-            qq = q[:, :, None] * q[:, None, :]
-            qq *= (self.M.area * fac)[:, None, None]
-            qq += local
-            local = qq
+    def stiffness(self, weights: np.ndarray, rank_one: tuple
+                  ) -> sp.csr_matrix:
+        """sum_T area (w_T grad phi_i . grad phi_j + fac_T q_Ti q_Tj) for
+        the weights w and rank_one = (fac, q), of shapes (T,) and (T, 3)."""
+        fac, q = rank_one
+        local = q[:, :, None] * q[:, None, :]
+        local *= (self.M.area * fac)[:, None, None]
+        local += self.base_local * weights[:, None, None]
         n = self.M.n_free
         data = np.bincount(self.slots, weights=local.reshape(-1)[self.keep],
                            minlength=self.indices.size)
@@ -490,19 +527,14 @@ def solve(M: TriMesh, cfg: SolverConfig | None = None) -> EigenResult:
         # constants are admissible and the quotient is 0
         u = M.function_from_flat(M.embed(x))
         return EigenResult(0.0, u, 0, 0.0, True, p)
-    asm = _Assembler(M)
-    K = asm.stiffness()
-    if p == 2.0:
-        # only Newton (p != 2) reassembles; holding the index tables through
-        # the loop raised a p = 2 sweep's peak memory by 1 MB
-        asm = None
-    T = _TwoGrid(M, K)
-    del K
+    T = _TwoGrid(M, _stencil_stiffness(M))
     if p == 2.0:
         x, lam, res, iters, converged = _lobpcg(M, T, x, cfg.outer_tol,
                                                 cfg.max_outer)
     else:
-        x, lam, res, iters, converged = _continuation(M, asm, T, x, cfg)
+        # only Newton's Hessians read the assembler's slot tables
+        x, lam, res, iters, converged = _continuation(M, _Assembler(M), T,
+                                                      x, cfg)
     return EigenResult(lam, M.function_from_flat(M.embed(x)), iters, res,
                        converged, p)
 

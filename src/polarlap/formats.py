@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 import math
+from itertools import product, repeat
 
 import numpy as np
 
@@ -41,7 +42,7 @@ def function_to_pgm(u: GridFunction) -> str:
     ny1, nx1 = v.shape
     lines = ["P2", f"{nx1} {ny1}", "255"]
     for iy in range(ny1 - 1, -1, -1):
-        lines.append(" ".join(str(int(val)) for val in q[iy]))
+        lines.append(" ".join(map(str, q[iy].tolist())))
     return "\n".join(lines) + "\n"
 
 
@@ -50,13 +51,14 @@ def function_to_csv(u: GridFunction) -> str:
     ox, oy = u.grid.origin
     d = u.grid.spacing
     ny1, nx1 = u.grid.node_shape
-    rows = ["node,x,y,value"]
-    for iy in range(ny1):
-        for ix in range(nx1):
-            nid = iy * nx1 + ix
-            rows.append(f"{nid},{_fnum(ox + ix * d)},{_fnum(oy + iy * d)},"
-                        f"{_fnum(u.values[iy, ix])}")
-    return "\n".join(rows) + "\n"
+    xs = [_fnum(ox + ix * d) for ix in range(nx1)]
+    ys = [_fnum(oy + iy * d) for iy in range(ny1)]
+    # each coordinate is formatted once and the values lazily, so the rows
+    # are the only full-size list of strings
+    values = map(format, u.values.ravel().tolist(), repeat(".17g"))
+    rows = (f"{nid},{x},{y},{v}" for nid, ((y, x), v) in
+            enumerate(zip(product(ys, xs), values)))
+    return "node,x,y,value\n" + "\n".join(rows) + "\n"
 
 
 def sweep_to_csv(params, lambdas, converged, outer_iters, residuals) -> str:

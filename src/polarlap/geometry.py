@@ -392,14 +392,22 @@ def axis_polarizer(axis: str, offset: float) -> Polarizer:
 def steiner_diagnostics(A: RasterSet, axis: str, offset: float):
     """(is_steiner_symmetric, violating_offset_or_None).
 
-    Sweeps every grid-compatible parallel line inside the window: the set
+    Sweeps the grid-compatible parallel lines inside the window: the set
     must be invariant under polarization toward the line from above the
     pivot and under dual polarization from below (finitely many exact
-    tests).
+    tests).  The first test can fail only on a line below the set's
+    largest coordinate and the second only above its smallest, so the
+    sweep covers the lines from min(smallest, pivot) to
+    max(largest, pivot); clipping to the set alone would skip the lines
+    between a pivot outside the set and the set.
     """
     red0 = _reduce(axis_polarizer(axis, offset), A.grid)  # H = {coord < t0}
+    if not A.mask.any():
+        return True, None
     coord = Reflection(red0, A.grid).coord
-    lo, hi = int(coord.min()) - 2, int(coord.max()) + 2
+    inside = coord[A.mask]
+    lo = max(int(coord.min()) - 2, min(int(inside.min()), red0.t))
+    hi = min(int(coord.max()) + 2, max(int(inside.max()), red0.t))
     a, b = _AXES[axis]
     step = a * a + b * b  # diagonal lines must pass through nodes
     start = lo + (red0.t - lo) % step

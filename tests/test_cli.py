@@ -514,3 +514,26 @@ def test_function_csv_header():
     rows = formats.function_to_csv(u).splitlines()
     assert rows[0] == "node,x,y,value"
     assert len(rows) == 10
+
+
+def test_function_emitters_match_per_node_loop(rng):
+    # the emitters against the per-node loops they replaced, on a
+    # non-dyadic spacing with signed zeros among the values
+    from polarlap.geometry import full_raster
+    g = Grid((-1.03125, 0.1), 2.0625 / 7, 7, 5)
+    v = rng.standard_normal(g.node_shape) * \
+        10.0 ** rng.integers(-20, 20, g.node_shape)
+    v[0, 0], v[1, 2] = -0.0, 0.0
+    u = GridFunction(g, v, full_raster(g))
+    ox, oy = g.origin
+    rows = ["node,x,y,value"]
+    for iy in range(6):
+        for ix in range(8):
+            rows.append(f"{iy * 8 + ix},{format(ox + ix * g.spacing, '.17g')},"
+                        f"{format(oy + iy * g.spacing, '.17g')},"
+                        f"{format(float(v[iy, ix]), '.17g')}")
+    assert formats.function_to_csv(u) == "\n".join(rows) + "\n"
+    q = np.rint(255.0 * (v - v.min()) / (v.max() - v.min())).astype(int)
+    lines = ["P2", "8 6", "255"]
+    lines += [" ".join(str(int(val)) for val in q[iy]) for iy in range(5, -1, -1)]
+    assert formats.function_to_pgm(u) == "\n".join(lines) + "\n"

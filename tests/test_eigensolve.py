@@ -24,6 +24,7 @@ from polarlap.eigensolve import (
     _TwoGrid,
     _mass_normalize,
     _smallest_eigenpair,
+    _stencil_stiffness,
     SolverConfig,
     check_weak_form,
     rayleigh,
@@ -171,7 +172,7 @@ def _eigsh_pair(mesh):
     # smallest eigenpair of (stiffness, lumped mass) by ARPACK shift-invert
     import scipy.sparse as sp
     import scipy.sparse.linalg as spla
-    K = _Assembler(mesh).stiffness()
+    K = _stencil_stiffness(mesh)
     m = mesh.mass_w[mesh.free_nodes]
     lam, vec = spla.eigsh(K, k=1, M=sp.diags(m), sigma=0.0, which="LM")
     return float(lam[0]), vec[:, 0]
@@ -367,7 +368,7 @@ def _ref_annulus_mesh(n):
 @pytest.fixture(scope="module")
 def ref_stiffness():
     mesh = _ref_annulus_mesh(132)
-    return mesh, _Assembler(mesh).stiffness()
+    return mesh, _stencil_stiffness(mesh)
 
 
 def test_two_grid_symmetric_positive(ref_stiffness, rng):
@@ -416,6 +417,70 @@ def test_reweighted_assembly_matches_coo_conversion(rng):
     assert np.array_equal(K.indptr, ref.indptr)
     assert np.array_equal(K.indices, ref.indices)
     assert np.abs(K.data - ref.data).max() <= 1e-14 * np.abs(ref.data).max()
+
+
+def _corner_touch_mesh(bc):
+    # the largest edge-connected part of a seeded random raster; it has
+    # free cells that touch only at a corner, and at this spacing s is just
+    # above 1/2, so some of the assembly's diagonal sums round
+    from polarlap.geometry import connected_components
+    g = Grid((-0.3, 0.1), 0.45, 15, 13)
+    m = np.random.default_rng(7).random(g.shape) < 0.6
+    _, labels = connected_components(RasterSet(g, m))
+    free = labels == np.argmax(np.bincount(labels.ravel())[1:]) + 1
+    assert np.any(free[:-1, :-1] & free[1:, 1:] & ~free[:-1, 1:] & ~free[1:, :-1])
+    assert np.any(free[:-1, 1:] & free[1:, :-1] & ~free[:-1, :-1] & ~free[1:, 1:])
+    return triangulate(PuncturedDomain(RasterSet(g, free), (), bc_outer=bc,
+                                       allow_pure_neumann=True))
+
+
+@pytest.mark.parametrize("case", ["ref_1/64", "ref_12", "ref_50",
+                                  "neumann_hole", "corners_dirichlet",
+                                  "corners_neumann"])
+def test_stencil_stiffness_equals_triangle_assembly(case, ref_stiffness):
+    # K against its own COO -> CSR assembly of (gx gx^T + gy gy^T) area
+    # over the triangles: the stencil omits only exact zeros, its
+    # off-diagonal entries are the same floats, and a diagonal entry,
+    # 2 s times the free cells at the node against a sum of up to 8
+    # triangle terms in order, may differ by the rounding of that sum
+    import scipy.sparse as sp
+    mesh = {"ref_1/64": lambda: ref_stiffness[0],
+            "ref_12": lambda: _ref_annulus_mesh(12),
+            "ref_50": lambda: _ref_annulus_mesh(50),
+            "neumann_hole": lambda: _annulus_mesh(24, bc_inner=NEUMANN),
+            "corners_dirichlet": lambda: _corner_touch_mesh(DIRICHLET),
+            "corners_neumann": lambda: _corner_touch_mesh(NEUMANN)}[case]()
+    gx, gy = mesh.grad_x, mesh.grad_y
+    local = (gx[:, :, None] * gx[:, None, :] +
+             gy[:, :, None] * gy[:, None, :]) * mesh.area
+    fi = mesh.free_index
+    rows = fi[np.repeat(mesh.tri_nodes, 3, axis=1).ravel()]
+    cols = fi[np.tile(mesh.tri_nodes, (1, 3)).ravel()]
+    keep = (rows >= 0) & (cols >= 0)
+    n = mesh.n_free
+    ref = sp.coo_matrix((local.ravel()[keep], (rows[keep], cols[keep])),
+                        shape=(n, n)).tocsr().tocoo()
+    K = _stencil_stiffness(mesh)
+    assert K.has_canonical_format
+    stored = K.copy()
+    stored.data[:] = 1.0
+    stored = np.asarray(stored[ref.row, ref.col]).ravel() == 1.0
+    assert stored.sum() == K.nnz
+    assert np.all(ref.data[~stored] == 0.0)
+    got = np.asarray(K[ref.row, ref.col]).ravel()[stored]
+    want = ref.data[stored]
+    off = (ref.row != ref.col)[stored]
+    assert np.array_equal(got[off], want[off])
+    assert np.all(np.abs(got - want) <= 2 * np.spacing(np.abs(want)))
+
+
+def test_p2_solve_builds_no_assembler(monkeypatch):
+    # only Newton's Hessians (p != 2) read the assembler's slot tables
+    def refuse(self, M):
+        raise AssertionError("p = 2 built an _Assembler")
+
+    monkeypatch.setattr(_Assembler, "__init__", refuse)
+    assert solve(_annulus_mesh(16), SolverConfig(p=2.0)).converged
 
 
 def test_two_grid_for_matrix_equals_fresh_build(ref_stiffness, rng):
@@ -490,10 +555,11 @@ def test_p19_newton_work_is_bounded(monkeypatch):
 
 
 def test_p3_stiffness_assemblies_are_bounded(monkeypatch, ref_stiffness):
-    # one assembly per Newton step: continuation 2 -> 2.5 -> 3 from the
-    # p = 2 eigenfunction assembles 12 matrices; inverse iteration
-    # started each inner solve on its ray minimizer and assembled 42 in 20
-    # outer steps (24 with a Newton finish), and 126 without that start
+    # one Hessian assembly per Newton step, the stencil K is not counted:
+    # continuation 2 -> 2.5 -> 3 from the p = 2 eigenfunction assembles 11
+    # Hessians; inverse iteration started each inner solve on its ray
+    # minimizer and assembled 41 in 20 outer steps (23 with a Newton
+    # finish), and 125 without that start
     stiffness = _Assembler.stiffness
     calls = []
 

@@ -402,6 +402,50 @@ def test_steiner_l_shape_fails_with_diagnostic():
     assert not ok and viol is not None
 
 
+def _steiner_all_lines(A, axis, offset):
+    # the reference sweep: every aligned line of the window, in order
+    from polarlap.geometry import (_AXES, Reflection, _Reduced,
+                                   _offset_from_t, _reduce, axis_polarizer)
+    red0 = _reduce(axis_polarizer(axis, offset), A.grid)
+    coord = Reflection(red0, A.grid).coord
+    lo, hi = int(coord.min()) - 2, int(coord.max()) + 2
+    a, b = _AXES[axis]
+    step = a * a + b * b
+    for t in range(lo + (red0.t - lo) % step, hi + 1, step):
+        red = _Reduced(axis, t, False)
+        refl = Reflection(red, A.grid)
+        if (t >= red0.t and not refl.invariant(A.mask)) or \
+                (t <= red0.t and not refl.invariant(A.mask, dual=True)):
+            return False, _offset_from_t(red, A.grid)
+    return True, None
+
+
+def test_steiner_diagnostics_matches_all_lines_sweep(rng):
+    # random rasters, disks on and off the axes and the empty set, with
+    # every aligned pivot of the window: pivots outside the set fail on
+    # lines between the pivot and the set, which a sweep of the set's own
+    # lines would skip
+    from polarlap.geometry import _AXES, Reflection, _Reduced, _offset_from_t
+    g = Grid((-0.75, 0.25), 0.125, 11, 9)
+    sets = [random_raster(rng, g, density) for density in (0.1, 0.4, 0.8)]
+    sets += [rasterize(Disk(c, 0.3), g) for c in
+             ((-0.0625, 0.8125), (-0.0625, 0.75), (0.2, 0.6))]
+    sets.append(RasterSet(g, np.zeros(g.shape, bool)))
+    outcomes = set()
+    for A in sets:
+        for axis in _AXES:
+            a, b = _AXES[axis]
+            coord = Reflection(_Reduced(axis, 0, False), g).coord
+            for t in range(int(coord.min()) - 4, int(coord.max()) + 5):
+                if t % (a * a + b * b):
+                    continue
+                offset = _offset_from_t(_Reduced(axis, t, False), g)
+                expected = _steiner_all_lines(A, axis, offset)
+                assert steiner_diagnostics(A, axis, offset) == expected
+                outcomes.add(expected[0])
+    assert outcomes == {True, False}
+
+
 def test_steiner_offset_line_through_centers():
     # line through cell centers (odd half-units) is allowed for axis normals
     g = unit_grid(8)
