@@ -452,6 +452,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return 4
+    except UnicodeDecodeError as exc:  # a config error, like any other parse failure
+        print(f"error: ParseError: config is not UTF-8 text: {exc}", file=sys.stderr)
+        return 1
     try:
         cfg = parse_config(text)
         if cfg.kind != args.command:

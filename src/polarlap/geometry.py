@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -240,58 +241,122 @@ def _offset_from_t(red: _Reduced, grid: Grid) -> float:
     return -v if red.greater else v
 
 
+def _axis_slices(s: int, c: int, n_dst: int, n_src: int) -> tuple[slice, slice]:
+    """Destination and source slices of the index map j = s*i + c (s = +-1)
+    from i in [0, n_dst) onto j in [0, n_src); both empty when no i lands."""
+    if s > 0:
+        lo, hi = max(0, -c), min(n_dst, n_src - c)
+    else:
+        lo, hi = max(0, c - n_src + 1), min(n_dst, c + 1)
+    if lo >= hi:
+        return slice(0, 0), slice(0, 0)
+    if s > 0:
+        return slice(lo, hi), slice(lo + c, hi + c)
+    stop = c - hi
+    return slice(lo, hi), slice(c - lo, stop if stop >= 0 else None, -1)
+
+
 class Reflection:
-    """A compatible reflection as an exact index map on the cells or nodes.
+    """A compatible reflection as an exact flip/transpose of the raster.
 
     In half-unit coordinates every compatible reflection is one integer
-    affine map of (U, V); the image site is ((U' - off) / 2, (V' - off) / 2)
-    with off = 1 on cells and 0 on nodes.  coord is the reduced linear
-    functional, in_h / on_line / beyond split the sites by side of the line,
-    valid marks sites whose image stays in the window and index is the flat
-    position of that image (0 where it does not).
+    affine map of (U, V): x (2t - U, V), y (U, 2t - V), diag (t - V, t - U)
+    and antidiag (V + t, U - t), on cells (off = 1) or nodes (off = 0).  On
+    the index grid it maps each axis by j = c - i (a flip with an integer
+    shift) or j = i + c, the diagonal kinds after a transpose, so the sites
+    whose image stays in the window form one rectangle, valid, and gather
+    is one slice copy into it.  coord is the reduced linear functional and
+    in_h / on_line / beyond split the sites by side of the line; all four
+    are read-only full-grid views of 1-D vectors over the lines of the
+    kind, built on first use.
     """
 
     def __init__(self, red: _Reduced, grid: Grid, nodes: bool = False):
         off = 0 if nodes else 1
-        shape = grid.node_shape if nodes else grid.shape
-        ny, nx = shape
-        U = 2 * np.arange(nx)[None, :] + off
-        V = 2 * np.arange(ny)[:, None] + off
+        self._shape = ny, nx = grid.node_shape if nodes else grid.shape
+        self._red = red
         t = red.t
-        coord, (U2, V2) = {
-            "x": (U, (2 * t - U, V)),
-            "y": (V, (U, 2 * t - V)),
-            "diag": (U + V, (t - V, t - U)),
-            "antidiag": (U - V, (V + t, U - t)),
+        a, b = _AXES[red.kind]
+        # site (iy, ix) lies on line k = a*ix + b*iy + k0, whose coordinate
+        # a*U + b*V is 2*(k - k0) + (a + b)*off
+        k0 = ny - 1 if b < 0 else 0
+        n_lines = a * (nx - 1) + abs(b) * (ny - 1) + 1
+        lines = 2 * (np.arange(n_lines) - k0) + (a + b) * off
+        lines.setflags(write=False)
+        self._lines = lines
+        # per destination axis (s, c) of j = s*i + c on the source raster,
+        # which the diagonal kinds read transposed
+        self._transpose, maps = {
+            "x": (False, ((1, 0), (-1, t - off))),
+            "y": (False, ((-1, t - off), (1, 0))),
+            "diag": (True, ((-1, t // 2 - off), (-1, t // 2 - off))),
+            "antidiag": (True, ((1, t // 2), (1, -(t // 2)))),
         }[red.kind]
-        self.coord = np.broadcast_to(coord, shape)
-        self.in_h = (self.coord > t) if red.greater else (self.coord < t)
-        self.on_line = self.coord == t
-        self.beyond = ~self.in_h & ~self.on_line
-        jx, jy = (U2 - off) // 2, (V2 - off) // 2
-        self.valid = (jx >= 0) & (jx < nx) & (jy >= 0) & (jy < ny)
-        self.index = np.where(self.valid, jy * nx + jx, 0)
+        src_shape = (nx, ny) if self._transpose else self._shape
+        (d0, s0), (d1, s1) = (_axis_slices(s, c, n, m) for (s, c), n, m
+                              in zip(maps, self._shape, src_shape))
+        self._dst, self._src = (d0, d1), (s0, s1)
 
     @classmethod
     def of(cls, H: Polarizer, grid: Grid, nodes: bool = False) -> "Reflection":
         return cls(_reduce(H, grid), grid, nodes)
 
+    def _spread(self, per_line: np.ndarray) -> np.ndarray:
+        """Read-only full-grid view of a read-only vector over the lines."""
+        a, b = _AXES[self._red.kind]
+        step = per_line.itemsize
+        view = np.ndarray(self._shape, per_line.dtype, buffer=per_line,
+                          strides=(abs(b) * step, a * step))
+        # that view reads k = a*ix + |b|*iy; for b < 0 turning it upside down
+        # gives k = ix - iy + ny - 1
+        return view[::-1] if b < 0 else view
+
+    def _side(self, test) -> np.ndarray:
+        side = test(self._lines, self._red.t)
+        side.setflags(write=False)
+        return self._spread(side)
+
+    @cached_property
+    def coord(self) -> np.ndarray:
+        return self._spread(self._lines)
+
+    @cached_property
+    def in_h(self) -> np.ndarray:
+        return self._side(np.greater if self._red.greater else np.less)
+
+    @cached_property
+    def beyond(self) -> np.ndarray:
+        return self._side(np.less if self._red.greater else np.greater)
+
+    @cached_property
+    def on_line(self) -> np.ndarray:
+        return self._side(np.equal)
+
+    @cached_property
+    def valid(self) -> np.ndarray:
+        valid = np.zeros(self._shape, dtype=bool)
+        valid[self._dst] = True
+        return valid
+
     def gather(self, a: np.ndarray) -> np.ndarray:
         """a at the image of each site; zero where the image leaves the window."""
-        out = a.ravel().take(self.index)
-        out[~self.valid] = 0
+        out = np.zeros(a.shape, a.dtype)
+        out[self._dst] = (a.T if self._transpose else a)[self._src]
         return out
 
     def escapes(self, active: np.ndarray, dual: bool = False) -> bool:
         """True iff an active site on the losing side has its image outside."""
-        src = self.in_h if dual else self.beyond
-        return bool(np.any(active & src & ~self.valid))
+        lost = active & (self.in_h if dual else self.beyond)
+        lost[self._dst] = False
+        return bool(lost.any())
 
     def exchange(self, a: np.ndarray, dual: bool = False) -> np.ndarray:
         """Two-point exchange: max on the winning side, min on the other."""
         ref = self.gather(a)
-        side = ~self.in_h if dual else self.in_h
-        return np.where(side, np.maximum(a, ref), np.minimum(a, ref))
+        on_h, off_h = (np.minimum, np.maximum) if dual else (np.maximum, np.minimum)
+        out = off_h(a, ref)
+        on_h(a, ref, out=out, where=self.in_h)
+        return out
 
     def invariant(self, mask: np.ndarray, dual: bool = False) -> bool:
         """True iff the exchange leaves the boolean mask unchanged: every

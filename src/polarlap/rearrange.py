@@ -8,7 +8,7 @@ permutation-invariant by construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -21,12 +21,14 @@ class GridFunction:
     """Real nodal values plus the raster region the function lives on.
 
     Values at nodes not touching any support cell must vanish (zero
-    extension); this is checked at construction.
+    extension); this is checked at construction.  incidence is the
+    read-only count of support cells at each node, counted there once.
     """
 
     grid: Grid
     values: np.ndarray
     support_mask: RasterSet
+    incidence: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
@@ -36,12 +38,14 @@ class GridFunction:
             raise ValueError("nodal values must be finite")
         if self.support_mask.grid != self.grid:
             raise ValueError("support mask grid differs from function grid")
-        active = _node_incidence(self.support_mask.mask) > 0
-        if np.any(v[~active] != 0.0):
+        incidence = _node_incidence(self.support_mask.mask)
+        if np.any(v[incidence == 0] != 0.0):
             raise ValueError("values must vanish at nodes not touching the support")
         v = v.copy()
         v.setflags(write=False)
+        incidence.setflags(write=False)
         object.__setattr__(self, "values", v)
+        object.__setattr__(self, "incidence", incidence)
 
     def is_nonnegative(self) -> bool:
         return bool(np.all(self.values >= 0.0))
@@ -51,15 +55,11 @@ class GridFunction:
 
 
 def _node_incidence(cell_mask: np.ndarray) -> np.ndarray:
-    """Number of active cells touching each node (0..4)."""
+    """Number of active cells touching each node (0..4, uint8)."""
     ny, nx = cell_mask.shape
-    inc = np.zeros((ny + 1, nx + 1), dtype=np.int64)
-    c = cell_mask.astype(np.int64)
-    inc[:-1, :-1] += c
-    inc[:-1, 1:] += c
-    inc[1:, :-1] += c
-    inc[1:, 1:] += c
-    return inc
+    c = np.zeros((ny + 2, nx + 2), dtype=np.uint8)  # the mask, zero-padded
+    c[1:-1, 1:-1] = cell_mask
+    return c[:-1, :-1] + c[:-1, 1:] + c[1:, :-1] + c[1:, 1:]
 
 
 def node_weights(support: RasterSet) -> np.ndarray:
@@ -103,7 +103,8 @@ def nodal_p_norm(u: GridFunction, p: float) -> float:
     """(sum_n w_n |u_n|^p)^(1/p) with lumped support weights."""
     if p < 1.0:
         raise ValueError("p must be >= 1")
-    w = node_weights(u.support_mask)
+    d = u.grid.spacing
+    w = (d * d / 4.0) * u.incidence
     return _sorted_sum(w * np.abs(u.values) ** p) ** (1.0 / p)
 
 

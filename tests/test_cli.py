@@ -128,6 +128,19 @@ def test_main_json_limit_one_line_parse_error(tmp_path, capsys, nx):
     assert not (tmp_path / "out").exists()
 
 
+def test_main_non_utf8_config_one_line_parse_error(tmp_path, capsys):
+    # a UTF-16 byte-order mark is not UTF-8; read_text raised an uncaught
+    # UnicodeDecodeError before parsing
+    path = tmp_path / "c.cfg"
+    path.write_bytes(b"\xff\xfe" + (CONFIG_DIR / "solve_square.cfg").read_bytes())
+    code = main(["solve", "--config", str(path), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err.splitlines()
+    assert code == 1
+    assert len(err) == 1
+    assert err[0].startswith("error: ParseError: config is not UTF-8 text: ")
+    assert not (tmp_path / "out").exists()
+
+
 def test_missing_grid_spacing_named():
     bad = json.loads(MINIMAL_SOLVE)
     del bad["grid"]["spacing"]

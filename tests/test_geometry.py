@@ -746,3 +746,83 @@ def test_reflection_symmetry_predicate():
     assert is_reflection_symmetric(Polarizer((1.0, 0.0), 0.0), A)
     B = rasterize(Disk((0.1, 0.0), 0.3, closed=True), g)
     assert not is_reflection_symmetric(Polarizer((1.0, 0.0), 0.0), B)
+
+
+def _index_table_reflection(red, grid, nodes):
+    """Reference reflection from the half-unit formula as a full index table:
+    image site ((U' - off) / 2, (V' - off) / 2) of every site, a valid mask
+    and a flat take."""
+    off = 0 if nodes else 1
+    shape = grid.node_shape if nodes else grid.shape
+    ny, nx = shape
+    U = np.broadcast_to(2 * np.arange(nx)[None, :] + off, shape)
+    V = np.broadcast_to(2 * np.arange(ny)[:, None] + off, shape)
+    t = red.t
+    coord, (U2, V2) = {
+        "x": (U, (2 * t - U, V)),
+        "y": (V, (U, 2 * t - V)),
+        "diag": (U + V, (t - V, t - U)),
+        "antidiag": (U - V, (V + t, U - t)),
+    }[red.kind]
+    assert not np.any((U2 - off) % 2) and not np.any((V2 - off) % 2)
+    jx, jy = (U2 - off) // 2, (V2 - off) // 2
+    valid = (jx >= 0) & (jx < nx) & (jy >= 0) & (jy < ny)
+    index = np.where(valid, jy * nx + jx, 0)
+    in_h = coord > t if red.greater else coord < t
+    on_line = coord == t
+    beyond = ~in_h & ~on_line
+
+    def gather(a):
+        out = a.ravel().take(index)
+        out[~valid] = 0
+        return out
+
+    return coord, in_h, on_line, beyond, valid, gather
+
+
+@pytest.mark.parametrize("nx, ny", [(2, 2), (3, 5), (5, 3), (4, 4), (6, 3), (2, 7)])
+@pytest.mark.parametrize("nodes", [False, True], ids=["cells", "nodes"])
+def test_reflection_matches_index_table_reference(nx, ny, nodes):
+    # every compatible line of all four kinds, both sides, across the window
+    # and up to 2 units (4 half-units) beyond it
+    from polarlap.geometry import _AXES, Reflection, _Reduced
+    g = Grid((-0.25, 0.5), 0.125, nx, ny)
+    rng = np.random.default_rng(nx * 10 + ny + 100 * nodes)
+    shape = g.node_shape if nodes else g.shape
+    for kind, (a, b) in _AXES.items():
+        corners = [a * u + b * v for u in (0, 2 * shape[1]) for v in (0, 2 * shape[0])]
+        step = a * a + b * b
+        lo = min(corners) - 4
+        for t in range(lo + (-lo) % step, max(corners) + 5, step):
+            for greater in (False, True):
+                red = _Reduced(kind, t, greater)
+                refl = Reflection(red, g, nodes)
+                coord, in_h, on_line, beyond, valid, gather = \
+                    _index_table_reflection(red, g, nodes)
+                for got, want in ((refl.coord, coord), (refl.in_h, in_h),
+                                  (refl.on_line, on_line), (refl.beyond, beyond),
+                                  (refl.valid, valid)):
+                    assert got.shape == want.shape and got.dtype == want.dtype
+                    assert np.array_equal(got, want), (kind, t, greater)
+                arrays = (rng.random(shape) < 0.5,
+                          rng.integers(-5, 6, shape).astype(np.int32),
+                          rng.standard_normal(shape))
+                for arr in arrays:
+                    got, want = refl.gather(arr), gather(arr)
+                    assert got.dtype == arr.dtype
+                    assert np.array_equal(got, want), (kind, t, greater, arr.dtype)
+                    for dual in (False, True):
+                        side = ~in_h if dual else in_h
+                        want_ex = np.where(side, np.maximum(arr, want),
+                                           np.minimum(arr, want))
+                        got_ex = refl.exchange(arr, dual=dual)
+                        assert got_ex.dtype == arr.dtype
+                        assert np.array_equal(got_ex, want_ex)
+                for mask in (arrays[0], rng.random(shape) < 0.1,
+                             np.zeros(shape, bool), np.ones(shape, bool)):
+                    for dual in (False, True):
+                        src = in_h if dual else beyond
+                        assert refl.escapes(mask, dual=dual) == \
+                            bool(np.any(mask & src & ~valid))
+                        assert refl.invariant(mask, dual=dual) == \
+                            (not np.any(mask & src & ~gather(mask)))

@@ -17,6 +17,8 @@ from polarlap.geometry import (
 )
 from polarlap.rearrange import (
     GridFunction,
+    _node_incidence,
+    _sorted_sum,
     check_nonexpansive,
     lattice_p_norm,
     nodal_p_norm,
@@ -250,6 +252,59 @@ def test_norm_preserved_on_symmetric_subregion(rng):
     pu = polarize_function(H, u)
     for p in (1.6, 2.0, 3.0):
         assert nodal_p_norm(pu, p) == nodal_p_norm(u, p)
+
+
+def _int64_incidence(cell_mask):
+    # reference count: each active cell adds one to its four corner nodes
+    ny, nx = cell_mask.shape
+    inc = np.zeros((ny + 1, nx + 1), dtype=np.int64)
+    c = cell_mask.astype(np.int64)
+    inc[:-1, :-1] += c
+    inc[:-1, 1:] += c
+    inc[1:, :-1] += c
+    inc[1:, 1:] += c
+    return inc
+
+
+def _partial_functions(rng):
+    # random partial supports on square and non-square grids, plus the
+    # empty function
+    out = []
+    for g in (unit_grid(9), Grid((-0.5, 0.25), 0.125, 7, 4)):
+        for density in (0.2, 0.6, 1.0):
+            sup = random_raster(rng, g, density)
+            v = np.where(_int64_incidence(sup.mask) > 0,
+                         rng.random(g.node_shape) - 0.3, 0.0)
+            out.append(GridFunction(g, v, sup))
+        empty = RasterSet(g, np.zeros(g.shape, bool))
+        out.append(GridFunction(g, np.zeros(g.node_shape), empty))
+    return out
+
+
+def test_node_incidence_matches_int64_reference(rng):
+    for u in _partial_functions(rng):
+        mask = u.support_mask.mask
+        assert np.array_equal(_node_incidence(mask), _int64_incidence(mask))
+        assert np.array_equal(u.incidence, _int64_incidence(mask))
+        d = u.grid.spacing
+        assert np.array_equal(node_weights(u.support_mask),
+                              (d * d / 4.0) * _int64_incidence(mask))
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
+def test_nodal_p_norm_bit_identical_to_weight_formula(rng, p):
+    for u in _partial_functions(rng):
+        want = _sorted_sum(node_weights(u.support_mask) * np.abs(u.values) ** p) ** (1.0 / p)
+        assert nodal_p_norm(u, p) == want
+
+
+def test_gridfunction_incidence_read_only(rng):
+    u = _partial_functions(rng)[0]
+    with pytest.raises(ValueError):
+        u.incidence[0, 0] = 3
+    with pytest.raises(AttributeError):
+        u.incidence = np.zeros_like(u.incidence)
+    assert "incidence" not in repr(u)
 
 
 # ---------------------------------------------------------------------------
