@@ -1,14 +1,18 @@
 """Piecewise-linear finite elements on punctured rasters.
 
 Every free cell is split into two right triangles along the same diagonal
-(lower-left to upper-right).  Dirichlet boundary families pin their nodes
-exactly (reduced system); Neumann families are natural and need no terms.
-Per-triangle accumulation uses fixed numpy orders, so energies are
+(lower-left to upper-right): the lower triangle (00, 10, 11) and the upper
+triangle (00, 11, 01) of its corner nodes.  Every per-triangle quantity is
+then a pair of cell rasters computed from slices of the node raster, so
+the mesh keeps no triangle tables.  Dirichlet boundary families pin their
+nodes exactly (reduced system); Neumann families are natural and need no
+terms.  Accumulation uses fixed numpy orders, so energies are
 bit-reproducible across runs.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,13 +24,12 @@ from .rearrange import GridFunction, _node_incidence
 
 @dataclass(frozen=True)
 class TriMesh:
-    """Immutable triangulation of the free region of a punctured domain."""
+    """Immutable triangulation of the free region of a punctured domain:
+    the free cells, each split into a lower and an upper triangle, and the
+    node sets; flat node ids are iy * (nx + 1) + ix."""
 
     grid: Grid
     free_cells: RasterSet
-    tri_nodes: np.ndarray      # (T, 3) flat node ids
-    grad_x: np.ndarray         # (T, 3) coefficients of the constant x-gradient
-    grad_y: np.ndarray         # (T, 3)
     area: float                # uniform triangle area spacing^2 / 2
     dirichlet_nodes: np.ndarray  # sorted flat node ids
     free_nodes: np.ndarray       # sorted flat node ids
@@ -34,8 +37,7 @@ class TriMesh:
     mass_w: np.ndarray           # (n_nodes,) lumped weights
 
     def __post_init__(self):
-        for name in ("tri_nodes", "grad_x", "grad_y", "dirichlet_nodes",
-                     "free_nodes", "free_index", "mass_w"):
+        for name in ("dirichlet_nodes", "free_nodes", "free_index", "mass_w"):
             arr = getattr(self, name)
             arr.setflags(write=False)
 
@@ -76,27 +78,7 @@ def triangulate(D: PuncturedDomain) -> TriMesh:
     """
     grid = D.grid
     free = D.free().mask
-    nx1 = grid.nx + 1
-
-    ys, xs = np.nonzero(free)
-    n00 = ys * nx1 + xs
-    n10 = n00 + 1
-    n01 = n00 + nx1
-    n11 = n01 + 1
-    # lower triangle (n00, n10, n11), upper triangle (n00, n11, n01)
-    tri_nodes = np.empty((2 * n00.size, 3), dtype=np.int64)
-    tri_nodes[0::2] = np.stack([n00, n10, n11], axis=1)
-    tri_nodes[1::2] = np.stack([n00, n11, n01], axis=1)
-
     d = grid.spacing
-    inv = 1.0 / d
-    T = tri_nodes.shape[0]
-    grad_x = np.empty((T, 3))
-    grad_y = np.empty((T, 3))
-    grad_x[0::2] = (-inv, inv, 0.0)
-    grad_y[0::2] = (0.0, -inv, inv)
-    grad_x[1::2] = (0.0, inv, -inv)
-    grad_y[1::2] = (-inv, 0.0, inv)
 
     incidence = _node_incidence(free).ravel()
     active = incidence > 0
@@ -111,16 +93,26 @@ def triangulate(D: PuncturedDomain) -> TriMesh:
 
     mass_w = (d * d / 4.0) * incidence.astype(float)
 
-    return TriMesh(grid, RasterSet(grid, free), tri_nodes, grad_x, grad_y,
-                   d * d / 2.0, dirichlet_nodes, free_nodes, free_index,
-                   mass_w)
+    return TriMesh(grid, RasterSet(grid, free), d * d / 2.0, dirichlet_nodes,
+                   free_nodes, free_index, mass_w)
 
 
 def triangle_gradients(M: TriMesh, flat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Constant per-triangle gradient (x and y parts) of the nodal vector flat."""
-    vals = flat[M.tri_nodes]
-    gx = np.einsum("tk,tk->t", M.grad_x, vals)
-    gy = np.einsum("tk,tk->t", M.grad_y, vals)
+    """Constant gradient (x and y parts) of the nodal vector flat on the
+    lower ([0]) and upper ([1]) triangle of every cell, shape (2, ny, nx);
+    0 on cells that are not free."""
+    u = flat.reshape(M.grid.node_shape)
+    free = M.free_cells.mask
+    gx = np.zeros((2,) + free.shape)
+    gy = np.zeros_like(gx)
+    # lower (00, 10, 11), upper (00, 11, 01); rows are y, columns x
+    np.subtract(u[:-1, 1:], u[:-1, :-1], out=gx[0], where=free)
+    np.subtract(u[1:, 1:], u[:-1, 1:], out=gy[0], where=free)
+    np.subtract(u[1:, 1:], u[1:, :-1], out=gx[1], where=free)
+    np.subtract(u[1:, :-1], u[:-1, :-1], out=gy[1], where=free)
+    inv = 1.0 / M.grid.spacing
+    gx *= inv
+    gy *= inv
     return gx, gy
 
 
@@ -138,12 +130,17 @@ def grad_energy_flat(M: TriMesh, flat: np.ndarray, p: float) -> np.ndarray:
     gx, gy = triangle_gradients(M, flat)
     g2 = gx * gx + gy * gy
     factor = np.zeros_like(g2)
-    nz = g2 > 0.0
-    factor[nz] = M.area * p * g2[nz] ** (0.5 * p - 1.0)
-    contrib = factor[:, None] * (gx[:, None] * M.grad_x + gy[:, None] * M.grad_y)
-    full = np.zeros(M.n_nodes)
-    np.add.at(full, M.tri_nodes.ravel(), contrib.ravel())
-    return full[M.free_nodes]
+    np.power(g2, 0.5 * p - 1.0, out=factor, where=g2 > 0.0)
+    # area p |g|^(p-2) g . grad phi_i, with grad phi_i = (cx_i, cy_i) /
+    # spacing for the corner nodes' coefficients of each triangle
+    factor *= M.area * p / M.grid.spacing
+    fx, fy = factor * gx, factor * gy
+    full = np.zeros(M.grid.node_shape)
+    full[:-1, :-1] -= fx[0] + fy[1]     # node 00: (-1, 0) and (0, -1)
+    full[:-1, 1:] += fx[0] - fy[0]      # node 10 of the lower: (1, -1)
+    full[1:, :-1] += fy[1] - fx[1]      # node 01 of the upper: (-1, 1)
+    full[1:, 1:] += fy[0] + fx[1]       # node 11: (0, 1) and (1, 0)
+    return full.ravel()[M.free_nodes]
 
 
 def mass_flat(M: TriMesh, flat: np.ndarray, p: float) -> float:
@@ -160,10 +157,12 @@ def grad_mass_flat(M: TriMesh, flat: np.ndarray, p: float) -> np.ndarray:
 
 
 def _checked(M: TriMesh, u: GridFunction, p: float, pinned: bool) -> np.ndarray:
-    """Flat values of u after the p > 1 check (and, if pinned, the check
-    that u vanishes on the Dirichlet nodes)."""
-    if p <= 1.0:
+    """Flat values of u after the check that p > 1 is finite (and, if
+    pinned, the check that u vanishes on the Dirichlet nodes)."""
+    if not p > 1.0:
         raise ValueError("p must exceed 1")
+    if not math.isfinite(p):
+        raise ValueError("p must be finite")
     flat = M.flat_values(u)
     if pinned and M.dirichlet_nodes.size and \
             np.abs(flat[M.dirichlet_nodes]).max() > 1e-14:
@@ -190,20 +189,3 @@ def mass_p(M: TriMesh, u: GridFunction, p: float) -> float:
 def grad_mass_p(M: TriMesh, u: GridFunction, p: float) -> np.ndarray:
     """Gradient p * w_n |u_n|^(p-2) u_n on the free nodes."""
     return grad_mass_flat(M, _checked(M, u, p, pinned=False), p)
-
-
-def mesh_dump(M: TriMesh) -> str:
-    """Indexed node/triangle text dump (one record per line) for debugging."""
-    nx1 = M.grid.nx + 1
-    ox, oy = M.grid.origin
-    d = M.grid.spacing
-    lines = [f"mesh nodes={M.n_nodes} free={M.n_free} triangles={M.tri_nodes.shape[0]}"]
-    used = np.unique(M.tri_nodes)
-    for nid in used.tolist():
-        ix, iy = nid % nx1, nid // nx1
-        tag = "F" if M.free_index[nid] >= 0 else "D"
-        lines.append(f"node {nid} {ox + ix * d:.17g} {oy + iy * d:.17g} {tag}")
-    for t in range(M.tri_nodes.shape[0]):
-        a, b, c = M.tri_nodes[t].tolist()
-        lines.append(f"tri {t} {a} {b} {c}")
-    return "\n".join(lines) + "\n"

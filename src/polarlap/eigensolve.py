@@ -4,10 +4,10 @@ One entry point, `solve`, serves every p > 1 and works on free-node
 vectors through the flat discretize kernels; the GridFunction is built
 once, for the result.
 
-The free-node stiffness K is built once per solve, at every p, as the
-exact 5-point stencil that P1 elements give on this mesh
-(`_stencil_stiffness`); only Newton's Hessians (p != 2) go through the
-triangle-wise `_Assembler`, which is built on that path alone.
+One raster stencil, `_stencil_stiffness`, builds every free-node matrix:
+the stiffness K once per solve, at every p, and each Newton Hessian
+(p != 2), which is the same quadratic form with per-triangle weights and a
+rank-one term.
 
 At p = 2 the problem is the symmetric pencil (K, B) of the free-node
 stiffness and the lumped mass, solved by single-vector LOBPCG (Knyazev,
@@ -113,85 +113,85 @@ def rayleigh(M: TriMesh, u: GridFunction, p: float) -> float:
     return energy_p(M, u, p) / mass_p(M, u, p)
 
 
-def _stencil_stiffness(M: TriMesh) -> sp.csr_matrix:
-    """The stiffness sum_T area grad phi_i . grad phi_j on the free nodes,
-    built as the 5-point stencil it is on this mesh (Strang-Fix, An
-    Analysis of the Finite Element Method, 1973).
+def _stencil_stiffness(M: TriMesh, lower: np.ndarray, upper: np.ndarray,
+                       rank_one: tuple | None = None) -> sp.csr_matrix:
+    """sum_T area (w_T grad phi_i . grad phi_j + c_T q_Ti q_Tj) on the free
+    nodes, q_Ti = (gx, gy)_T . grad phi_i, built as the 7-point stencil it
+    is on this mesh (Strang-Fix, An Analysis of the Finite Element Method,
+    1973).  lower and upper weigh each cell's two triangles on the cell
+    raster (0 off the free cells); rank_one = (c, gx, gy) are (2, ny, nx)
+    rasters as from `triangle_gradients`.  K is the free-cell mask as both
+    weights and no rank-one term.
 
-    With s = area / spacing^2 the diagonal is 2 s per free cell at the node
-    and each cell edge gets -s per free cell that has it.  The couplings
-    along the diagonals that split the cells are exactly 0 and are not
-    stored, so K holds about 5 entries per row instead of 7.
+    With s = area / spacing^2 the diagonal is s times a sum of weights (so
+    2 s k, one rounding, for k free cells at a node of K), each cell edge
+    gets -s w per triangle, and the diagonal that splits a cell couples
+    only through the rank-one term.  Exact zeros are not stored: K holds
+    about 5 entries per row, a Hessian 7.
     """
     inv = 1.0 / M.grid.spacing
     s = inv * inv * M.area
-    c = np.pad(M.free_cells.mask, 1).astype(float)
-    # free cells lower-left, lower-right, upper-left and upper-right of
-    # each node
-    ll, lr, ul, ur = c[:-1, :-1], c[:-1, 1:], c[1:, :-1], c[1:, 1:]
-    f = M.free_nodes
     nx1 = M.grid.nx + 1
-    # a row's columns in increasing order: south, west, itself, east, north
-    offsets = np.array([-nx1, -1, 0, 1, nx1])
-    counts = (ll + lr, ll + ul, ll + lr + ul + ur, lr + ur, ul + ur)
-    weights = (-s, -s, 2.0 * s, -s, -s)
-    data = np.stack([w * n.ravel()[f] for w, n in zip(weights, counts)],
-                    axis=1)
-    # a neighbour past the window's edge has a count of 0, so its clipped
-    # or wrapped column is dropped with the zeros
-    cols = M.free_index.take(f[:, None] + offsets, mode="clip")
-    keep = (data != 0.0) & (cols >= 0)
-    indptr = np.zeros(f.size + 1, dtype=np.int32)
-    np.cumsum(np.count_nonzero(keep, axis=1), out=indptr[1:])
-    return sp.csr_matrix((data[keep], cols[keep].astype(np.int32), indptr),
-                         shape=(f.size, f.size))
-
-
-class _Assembler:
-    """Newton's Hessian assembly on the mesh's fixed sparsity pattern.
-
-    The pattern holds every pair of nodes that share a triangle and is
-    converted to CSR once; every kept local entry's slot in that canonical
-    structure is recorded, so each assembly is one bincount into the same
-    indices and indptr.
-    """
-
-    def __init__(self, M: TriMesh):
-        self.M = M
-        fi = M.free_index[M.tri_nodes].astype(np.int32)
-        r = np.repeat(fi, 3, axis=1).ravel()
-        c = np.tile(fi, (1, 3)).ravel()
-        del fi
-        self.keep = (r >= 0) & (c >= 0)
-        rows, cols = r[self.keep], c[self.keep]
-        del r, c
-        n = M.n_free
-        pattern = sp.coo_matrix((np.ones(rows.size, dtype=np.int8),
-                                 (rows, cols)), shape=(n, n)).tocsr()
-        self.indices, self.indptr = pattern.indices, pattern.indptr
-        # a canonical CSR holds each (row, column) once, in increasing order
-        pattern.data = np.arange(pattern.nnz, dtype=np.int32)
-        self.slots = np.asarray(pattern[rows, cols]).ravel()
-        del pattern, rows, cols
-        # constant per-triangle local blocks of the quadratic form, built
-        # after the index temporaries are gone to keep the set-up peak low
-        gx, gy = M.grad_x, M.grad_y
-        self.base_local = gx[:, :, None] * gx[:, None, :]
-        self.base_local += gy[:, :, None] * gy[:, None, :]
-        self.base_local *= M.area
-
-    def stiffness(self, weights: np.ndarray, rank_one: tuple
-                  ) -> sp.csr_matrix:
-        """sum_T area (w_T grad phi_i . grad phi_j + fac_T q_Ti q_Tj) for
-        the weights w and rank_one = (fac, q), of shapes (T,) and (T, 3)."""
-        fac, q = rank_one
-        local = q[:, :, None] * q[:, None, :]
-        local *= (self.M.area * fac)[:, None, None]
-        local += self.base_local * weights[:, None, None]
-        n = self.M.n_free
-        data = np.bincount(self.slots, weights=local.reshape(-1)[self.keep],
-                           minlength=self.indices.size)
-        return sp.csr_matrix((data, self.indices, self.indptr), shape=(n, n))
+    # self, east, north and north-east couplings of every node, after a
+    # zero lead so that a row's west, south and south-west values, read
+    # off the neighbour's east, north and north-east, are in range
+    lead = nx1 + 1
+    buf = np.zeros((4, lead + M.n_nodes))
+    D, E, N, NE = buf[:, lead:].reshape((4,) + M.grid.node_shape)
+    # lower triangle (00, 10, 11), upper triangle (00, 11, 01); each cell
+    # adds to its corner nodes' slices, 00 at [:-1, :-1], 10 at [:-1, 1:],
+    # 01 at [1:, :-1] and 11 at [1:, 1:]
+    both = lower + upper
+    D[:-1, :-1] += both
+    D[:-1, 1:] += 2.0 * lower
+    D[1:, :-1] += 2.0 * upper
+    D[1:, 1:] += both
+    E[:-1, :-1] -= lower
+    E[1:, :-1] -= upper
+    N[:-1, :-1] -= upper
+    N[:-1, 1:] -= lower
+    buf *= s
+    if rank_one is not None:
+        c, gx, gy = rank_one
+        c = s * c
+        # q times the spacing at 00 and 11 of both triangles, 10 of the
+        # lower and 01 of the upper
+        q00 = np.stack([-gx[0], -gy[1]])
+        q11 = np.stack([gy[0], gx[1]])
+        q10, q01 = gx[0] - gy[0], gy[1] - gx[1]
+        c00 = c * q00
+        D[:-1, :-1] += (c00 * q00).sum(axis=0)
+        D[:-1, 1:] += c[0] * q10 * q10
+        D[1:, :-1] += c[1] * q01 * q01
+        D[1:, 1:] += (c * q11 * q11).sum(axis=0)
+        E[:-1, :-1] += c00[0] * q10
+        E[1:, :-1] += c[1] * q01 * q11[1]
+        N[:-1, :-1] += c00[1] * q01
+        N[:-1, 1:] += c[0] * q10 * q11[0]
+        NE[:-1, :-1] += (c00 * q11).sum(axis=0)
+    n = M.n_free
+    g = M.free_nodes + lead
+    D, E, N, NE = buf
+    # a row's columns in increasing order, each with the couplings its
+    # value is read from: south-west, south, west, itself, east, north,
+    # north-east; without a rank-one term (K) the diagonal ones are 0
+    stencil = [(NE, -nx1 - 1), (N, -nx1), (E, -1), (D, 0), (E, 1), (N, nx1),
+               (NE, nx1 + 1)]
+    if rank_one is None:
+        stencil = stencil[1:-1]
+    offsets = np.array([o for _, o in stencil])
+    data = np.stack([v.take(g + min(o, 0)) for v, o in stencil], axis=1)
+    # the free index with the same lead and a trailing pad of -1; a
+    # neighbour past the window's edge has a zero coupling, so its wrapped
+    # column is dropped with the zeros
+    free_index = np.full(M.n_nodes + 2 * lead, -1, dtype=np.int32)
+    free_index[lead:-lead] = M.free_index
+    cols = free_index[g[:, None] + offsets]
+    kept = np.flatnonzero((data != 0.0) & (cols >= 0))
+    indptr = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(np.bincount(kept // offsets.size, minlength=n), out=indptr[1:])
+    return sp.csr_matrix((data.ravel()[kept], cols.ravel()[kept], indptr),
+                         shape=(n, n))
 
 
 class _TwoGrid(spla.LinearOperator):
@@ -357,29 +357,32 @@ def _mass_normalize(M: TriMesh, free_vals: np.ndarray, p: float) -> np.ndarray:
     return v / mass_flat(M, M.embed(v), p) ** (1.0 / p)
 
 
-def _hessian(M: TriMesh, asm: _Assembler, flat: np.ndarray, p: float
-             ) -> sp.csr_matrix:
+def _hessian(M: TriMesh, flat: np.ndarray, p: float) -> sp.csr_matrix:
     """Hessian of energy_p/p at the nodal vector flat, on the free nodes,
-    with each triangle's |grad v|^2 raised by (1e-10 max|grad v|)^2.
+    with each triangle's |grad v|^2 raised by (1e-10 max|grad v|)^2, the
+    maximum taken over the free triangles.
 
     Its local eigenvalues are then at least min(1, p-1) times the raised
     |grad v|^(p-2), so it is positive definite where the exact one is
     singular (p > 2) or unbounded (p < 2); the floor scales with v, so it
     does not depend on the size of the iterate.
     """
-    tgx, tgy = triangle_gradients(M, flat)
+    tgx, tgy = triangle_gradients(M, flat)  # 0 off the free cells
     g2 = tgx * tgx + tgy * tgy
     # 1e-10 ** 2 differs from the float 1e-20 in its last bits, and the
     # eigenvalues the tests pin were computed with the former
     d2 = g2 + 1e-10 ** 2 * g2.max(initial=0.0)
-    wts = d2 ** (0.5 * p - 1.0)
-    fac = (p - 2.0) * d2 ** (0.5 * p - 2.0)
-    q = tgx[:, None] * M.grad_x + tgy[:, None] * M.grad_y
-    return asm.stiffness(weights=wts, rank_one=(fac, q))
+    free = M.free_cells.mask
+    wts = np.zeros_like(d2)
+    np.power(d2, 0.5 * p - 1.0, out=wts, where=free)
+    fac = np.zeros_like(d2)  # (p - 2) d2^(p/2-2), without a second power
+    np.divide(wts, d2, out=fac, where=free)
+    fac *= p - 2.0
+    return _stencil_stiffness(M, wts[0], wts[1], rank_one=(fac, tgx, tgy))
 
 
-def _newton_step(M: TriMesh, asm: _Assembler, T: _TwoGrid, x: np.ndarray,
-                 lam: float, r: np.ndarray, p: float) -> np.ndarray | None:
+def _newton_step(M: TriMesh, T: _TwoGrid, x: np.ndarray, lam: float,
+                 r: np.ndarray, p: float) -> np.ndarray | None:
     """One Newton step on the eigenpair from the unit-mass iterate x with
     Rayleigh quotient lam and residual r = grad E - lam grad M (p != 2):
     the new iterate |x + t| at unit mass, or None when the solve for t
@@ -403,7 +406,7 @@ def _newton_step(M: TriMesh, asm: _Assembler, T: _TwoGrid, x: np.ndarray,
     g = grad_mass_flat(M, flat, p) / p
     h = np.zeros_like(x)  # m |x|^(p-2): the Hessian of M/p is (p-1) diag(h)
     np.divide(g, x, out=h, where=x != 0.0)
-    Kh = _hessian(M, asm, flat, p)
+    Kh = _hessian(M, flat, p)
     A = Kh - sp.diags(lam * (p - 1.0) * h)
     gx = float(g @ x)
 
@@ -450,8 +453,7 @@ def _evaluate(M: TriMesh, x: np.ndarray, p: float
     return lam, r, np.abs(r).max() / (lam * np.abs(gm).max())
 
 
-def _continuation(M: TriMesh, asm: _Assembler, T: _TwoGrid, x: np.ndarray,
-                  cfg: SolverConfig
+def _continuation(M: TriMesh, T: _TwoGrid, x: np.ndarray, cfg: SolverConfig
                   ) -> tuple[np.ndarray, float, float, int, bool]:
     """The p != 2 eigenpair from the constant x by continuation in the
     exponent from the p = 2 eigenfunction (Allgower-Georg, Numerical
@@ -489,7 +491,7 @@ def _continuation(M: TriMesh, asm: _Assembler, T: _TwoGrid, x: np.ndarray,
                     and iters < cfg.max_outer:
                 iters += 1
                 k += 1
-                y_new = _newton_step(M, asm, T, y, lam, r, q) \
+                y_new = _newton_step(M, T, y, lam, r, q) \
                     if math.isfinite(lam) and math.isfinite(res) else None
                 trial = None if y_new is None else _evaluate(M, y_new, q)
                 if trial is None or not (trial[2] < res or trial[0] < lam):
@@ -527,14 +529,13 @@ def solve(M: TriMesh, cfg: SolverConfig | None = None) -> EigenResult:
         # constants are admissible and the quotient is 0
         u = M.function_from_flat(M.embed(x))
         return EigenResult(0.0, u, 0, 0.0, True, p)
-    T = _TwoGrid(M, _stencil_stiffness(M))
+    c = M.free_cells.mask.astype(float)
+    T = _TwoGrid(M, _stencil_stiffness(M, c, c))
     if p == 2.0:
         x, lam, res, iters, converged = _lobpcg(M, T, x, cfg.outer_tol,
                                                 cfg.max_outer)
     else:
-        # only Newton's Hessians read the assembler's slot tables
-        x, lam, res, iters, converged = _continuation(M, _Assembler(M), T,
-                                                      x, cfg)
+        x, lam, res, iters, converged = _continuation(M, T, x, cfg)
     return EigenResult(lam, M.function_from_flat(M.embed(x)), iters, res,
                        converged, p)
 

@@ -8,6 +8,7 @@ permutation-invariant by construction.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -86,10 +87,14 @@ def polarize_function(H: Polarizer, u: GridFunction) -> GridFunction:
         raise OutOfBounds("function polarization escapes the grid window")
     values = refl.exchange(u.values)
     support = polarize_set(H, u.support_mask)
-    if np.any((values > 0.0) & (_node_incidence(support.mask) == 0)):
+    try:
+        return GridFunction(u.grid, values, support)
+    except ValueError:
+        # the exchanged values have the grid's shape and are finite, so the
+        # check that fails is the one for a value off the support
         raise SupportMismatch(
-            "polarized function is positive at a node outside the polarized support")
-    return GridFunction(u.grid, values, support)
+            "polarized function is positive at a node outside the polarized support"
+        ) from None
 
 
 def _sorted_sum(contrib: np.ndarray) -> float:
@@ -99,10 +104,16 @@ def _sorted_sum(contrib: np.ndarray) -> float:
     return float(np.sort(contrib, axis=None).sum())
 
 
+def _check_exponent(p: float):
+    if not p >= 1.0:
+        raise ValueError("p must be >= 1")
+    if not math.isfinite(p):
+        raise ValueError("p must be finite")
+
+
 def nodal_p_norm(u: GridFunction, p: float) -> float:
     """(sum_n w_n |u_n|^p)^(1/p) with lumped support weights."""
-    if p < 1.0:
-        raise ValueError("p must be >= 1")
+    _check_exponent(p)
     d = u.grid.spacing
     w = (d * d / 4.0) * u.incidence
     return _sorted_sum(w * np.abs(u.values) ** p) ** (1.0 / p)
@@ -111,8 +122,7 @@ def nodal_p_norm(u: GridFunction, p: float) -> float:
 def lattice_p_norm(values: np.ndarray, spacing: float, p: float) -> float:
     """(sum_n spacing^2 |v_n|^p)^(1/p): zero-extension weights, every node
     counted with full incidence."""
-    if p < 1.0:
-        raise ValueError("p must be >= 1")
+    _check_exponent(p)
     return _sorted_sum(spacing * spacing * np.abs(values) ** p) ** (1.0 / p)
 
 

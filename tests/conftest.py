@@ -235,6 +235,41 @@ def random_punctured_domain(rng) -> PuncturedDomain:
             continue
 
 
+def _triangle_tables(mesh):
+    """The triangles of a mesh written out one by one: each free cell, in
+    row-major order, gives its lower triangle (00, 10, 11) and then its
+    upper triangle (00, 11, 01).  Returns the (T, 3) flat node ids and the
+    (T, 3) coefficients of the constant x- and y-gradient, a reference
+    for the raster kernels that shares none of their slicing."""
+    nx1 = mesh.grid.nx + 1
+    inv = 1.0 / mesh.grid.spacing
+    ys, xs = np.nonzero(mesh.free_cells.mask)
+    n00 = ys * nx1 + xs
+    tri_nodes = np.empty((2 * n00.size, 3), dtype=np.int64)
+    tri_nodes[0::2] = np.stack([n00, n00 + 1, n00 + nx1 + 1], axis=1)
+    tri_nodes[1::2] = np.stack([n00, n00 + nx1 + 1, n00 + nx1], axis=1)
+    grad_x = np.empty(tri_nodes.shape)
+    grad_y = np.empty(tri_nodes.shape)
+    grad_x[0::2] = (-inv, inv, 0.0)
+    grad_y[0::2] = (0.0, -inv, inv)
+    grad_x[1::2] = (0.0, inv, -inv)
+    grad_y[1::2] = (-inv, 0.0, inv)
+    return tri_nodes, grad_x, grad_y
+
+
+def _triangle_assembly(mesh, tri_nodes, local):
+    """COO -> CSR assembly of the (T, 3, 3) local blocks on the free
+    nodes; duplicates are summed in the conversion's own order."""
+    import scipy.sparse as sp
+    fi = mesh.free_index
+    rows = fi[np.repeat(tri_nodes, 3, axis=1).ravel()]
+    cols = fi[np.tile(tri_nodes, (1, 3)).ravel()]
+    keep = (rows >= 0) & (cols >= 0)
+    n = mesh.n_free
+    return sp.coo_matrix((local.ravel()[keep], (rows[keep], cols[keep])),
+                         shape=(n, n)).tocsr()
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)

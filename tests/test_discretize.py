@@ -1,5 +1,7 @@
 """Mesh construction, Dirichlet nodes, energies and their gradients."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,10 +22,11 @@ from polarlap.discretize import (
     grad_energy_p,
     grad_mass_p,
     mass_p,
-    mesh_dump,
     triangulate,
 )
+from polarlap.eigensolve import rayleigh
 from conftest import (
+    _triangle_tables,
     brute_dirichlet_nodes,
     centered_grid,
     random_punctured_domain,
@@ -112,7 +115,7 @@ def test_triangulate_2x2_counts():
     g = Grid((0.0, 0.0), 0.5, 2, 2)
     D = PuncturedDomain(RasterSet(g, np.ones((2, 2), bool)), ())
     m = triangulate(D)
-    assert m.tri_nodes.shape[0] == 8
+    assert m.free_cells.mask.sum() == 4
     assert m.n_free == 1
     assert m.free_nodes[0] == m.node_id(1, 1)
 
@@ -136,13 +139,6 @@ def test_triangle_area_positive():
     assert m.area == (0.25 ** 2) / 2.0
 
 
-def test_mesh_dump_runs():
-    m = triangulate(_square_domain(4))
-    text = mesh_dump(m)
-    assert text.startswith("mesh ")
-    assert "tri 0 " in text
-
-
 # ---------------------------------------------------------------------------
 # energy
 # ---------------------------------------------------------------------------
@@ -164,6 +160,17 @@ def test_energy_linear_function_exact(p):
     assert energy_p(m, u, p) == pytest.approx(1.0, abs=1e-14)
 
 
+@pytest.mark.parametrize("p", [math.nan, math.inf])
+@pytest.mark.parametrize("kernel", [energy_p, grad_energy_p, mass_p,
+                                    grad_mass_p, rayleigh])
+def test_checked_kernels_reject_non_finite_p(rng, kernel, p):
+    # nan passed the p <= 1 test; at inf the energy was inf and its
+    # gradient nan
+    m = triangulate(_annulus_domain(12))
+    with pytest.raises(ValueError, match="p must"):
+        kernel(m, _free_fn(m, rng), p)
+
+
 def test_energy_dirichlet_violation():
     m = triangulate(_square_domain(8))
     flat = np.ones(m.n_nodes)
@@ -183,19 +190,46 @@ def test_grad_energy_zero_at_zero():
 
 
 def test_grad_energy_p2_is_stiffness_product(rng):
-    # independent quadratic-form assembly straight from the mesh triangles
+    # independent quadratic-form assembly straight from the listed triangles
     m = triangulate(_annulus_domain(16))
     u = _free_fn(m, rng)
     flat = m.flat_values(u)
     K = np.zeros((m.n_nodes, m.n_nodes))
-    for t in range(m.tri_nodes.shape[0]):
-        nodes = m.tri_nodes[t]
-        gx, gy = m.grad_x[t], m.grad_y[t]
+    for nodes, gx, gy in zip(*_triangle_tables(m)):
         for a in range(3):
             for b in range(3):
                 K[nodes[a], nodes[b]] += m.area * (gx[a] * gx[b] + gy[a] * gy[b])
     expected = 2.0 * (K @ flat)[m.free_nodes]
     assert np.allclose(grad_energy_p(m, u, 2.0), expected, rtol=1e-12, atol=1e-14)
+
+
+@pytest.mark.parametrize("p", [1.5, 3.0])
+@pytest.mark.parametrize("make", [
+    lambda: _annulus_domain(24),
+    lambda: _annulus_domain(24, bc_inner=NEUMANN),
+    _three_obstacle_domain,
+], ids=["annulus", "annulus_neumann_hole", "three_obstacles"])
+def test_energy_and_gradient_match_triangle_list(rng, make, p):
+    # area |grad u|_T^p summed over the listed triangles, and its gradient
+    # accumulated triangle by triangle, against the raster kernels
+    m = triangulate(make())
+    u = _free_fn(m, rng)
+    flat = m.flat_values(u)
+    tri_nodes, gx, gy = _triangle_tables(m)
+    tgx = np.einsum("tk,tk->t", gx, flat[tri_nodes])
+    tgy = np.einsum("tk,tk->t", gy, flat[tri_nodes])
+    g2 = tgx * tgx + tgy * tgy
+    energy = m.area * np.sum(g2 ** (0.5 * p))
+    factor = np.zeros_like(g2)
+    nz = g2 > 0.0
+    factor[nz] = m.area * p * g2[nz] ** (0.5 * p - 1.0)
+    full = np.zeros(m.n_nodes)
+    np.add.at(full, tri_nodes.ravel(),
+              (factor[:, None] * (tgx[:, None] * gx + tgy[:, None] * gy)).ravel())
+    grad = full[m.free_nodes]
+    assert energy_p(m, u, p) == pytest.approx(energy, rel=4e-15)
+    assert np.abs(grad_energy_p(m, u, p) - grad).max() <= \
+        4e-15 * np.abs(grad).max()
 
 
 @pytest.mark.parametrize("p", [1.6, 2.0, 2.5, 3.0])

@@ -20,8 +20,8 @@ from polarlap.geometry import (
 from polarlap.discretize import triangulate
 from polarlap.eigensolve import (
     EigenResult,
-    _Assembler,
     _TwoGrid,
+    _hessian,
     _mass_normalize,
     _smallest_eigenpair,
     _stencil_stiffness,
@@ -31,7 +31,18 @@ from polarlap.eigensolve import (
     solve,
 )
 
-from conftest import centered_grid, unit_grid
+from conftest import (
+    _triangle_assembly,
+    _triangle_tables,
+    centered_grid,
+    unit_grid,
+)
+
+
+def _stiffness(mesh):
+    # K: the free-cell mask as both triangles' weights
+    c = mesh.free_cells.mask.astype(float)
+    return _stencil_stiffness(mesh, c, c)
 
 
 def _square_mesh(n, bc=DIRICHLET, allow_pn=False):
@@ -172,7 +183,7 @@ def _eigsh_pair(mesh):
     # smallest eigenpair of (stiffness, lumped mass) by ARPACK shift-invert
     import scipy.sparse as sp
     import scipy.sparse.linalg as spla
-    K = _stencil_stiffness(mesh)
+    K = _stiffness(mesh)
     m = mesh.mass_w[mesh.free_nodes]
     lam, vec = spla.eigsh(K, k=1, M=sp.diags(m), sigma=0.0, which="LM")
     return float(lam[0]), vec[:, 0]
@@ -368,7 +379,7 @@ def _ref_annulus_mesh(n):
 @pytest.fixture(scope="module")
 def ref_stiffness():
     mesh = _ref_annulus_mesh(132)
-    return mesh, _stencil_stiffness(mesh)
+    return mesh, _stiffness(mesh)
 
 
 def test_two_grid_symmetric_positive(ref_stiffness, rng):
@@ -394,31 +405,6 @@ def test_two_grid_cold_solve_iterations(ref_stiffness, rng):
     assert np.linalg.norm(K @ y - b) <= 1e-12 * np.linalg.norm(b)
 
 
-def test_reweighted_assembly_matches_coo_conversion(rng):
-    # the bincount into the fixed CSR slots against a fresh COO -> CSR
-    # conversion of the same local blocks
-    import scipy.sparse as sp
-    mesh = _annulus_mesh(24, bc_inner=NEUMANN)
-    asm = _Assembler(mesh)
-    T = mesh.tri_nodes.shape[0]
-    wts, fac = rng.random(T) + 0.1, rng.random(T)
-    q = rng.standard_normal((T, 3))
-    local = asm.base_local * wts[:, None, None] + \
-        (mesh.area * fac)[:, None, None] * (q[:, :, None] * q[:, None, :])
-    fi = mesh.free_index
-    rows = fi[np.repeat(mesh.tri_nodes, 3, axis=1).ravel()]
-    cols = fi[np.tile(mesh.tri_nodes, (1, 3)).ravel()]
-    keep = (rows >= 0) & (cols >= 0)
-    n = mesh.n_free
-    ref = sp.coo_matrix((local.ravel()[keep], (rows[keep], cols[keep])),
-                        shape=(n, n)).tocsr()
-    K = asm.stiffness(weights=wts, rank_one=(fac, q))
-    assert K.has_canonical_format
-    assert np.array_equal(K.indptr, ref.indptr)
-    assert np.array_equal(K.indices, ref.indices)
-    assert np.abs(K.data - ref.data).max() <= 1e-14 * np.abs(ref.data).max()
-
-
 def _corner_touch_mesh(bc):
     # the largest edge-connected part of a seeded random raster; it has
     # free cells that touch only at a corner, and at this spacing s is just
@@ -434,39 +420,45 @@ def _corner_touch_mesh(bc):
                                        allow_pure_neumann=True))
 
 
-@pytest.mark.parametrize("case", ["ref_1/64", "ref_12", "ref_50",
-                                  "neumann_hole", "corners_dirichlet",
-                                  "corners_neumann"])
+_STENCIL_CASES = ["ref_1/64", "ref_12", "ref_50", "neumann_hole",
+                  "corners_dirichlet", "corners_neumann"]
+
+
+def _stencil_case_mesh(case, ref_stiffness):
+    return {"ref_1/64": lambda: ref_stiffness[0],
+            "ref_12": lambda: _ref_annulus_mesh(12),
+            "ref_50": lambda: _ref_annulus_mesh(50),
+            "neumann_hole": lambda: _annulus_mesh(24, bc_inner=NEUMANN),
+            "corners_dirichlet": lambda: _corner_touch_mesh(DIRICHLET),
+            "corners_neumann": lambda: _corner_touch_mesh(NEUMANN)}[case]()
+
+
+def _stored_pattern(A, ref):
+    # whether each entry of the COO reference is stored in A; A must store
+    # every nonzero of ref and nothing else
+    stored = A.copy()
+    stored.data[:] = 1.0
+    stored = np.asarray(stored[ref.row, ref.col]).ravel() == 1.0
+    assert stored.sum() == A.nnz
+    assert np.all(ref.data[~stored] == 0.0)
+    return stored
+
+
+@pytest.mark.parametrize("case", _STENCIL_CASES)
 def test_stencil_stiffness_equals_triangle_assembly(case, ref_stiffness):
     # K against its own COO -> CSR assembly of (gx gx^T + gy gy^T) area
     # over the triangles: the stencil omits only exact zeros, its
     # off-diagonal entries are the same floats, and a diagonal entry,
     # 2 s times the free cells at the node against a sum of up to 8
     # triangle terms in order, may differ by the rounding of that sum
-    import scipy.sparse as sp
-    mesh = {"ref_1/64": lambda: ref_stiffness[0],
-            "ref_12": lambda: _ref_annulus_mesh(12),
-            "ref_50": lambda: _ref_annulus_mesh(50),
-            "neumann_hole": lambda: _annulus_mesh(24, bc_inner=NEUMANN),
-            "corners_dirichlet": lambda: _corner_touch_mesh(DIRICHLET),
-            "corners_neumann": lambda: _corner_touch_mesh(NEUMANN)}[case]()
-    gx, gy = mesh.grad_x, mesh.grad_y
+    mesh = _stencil_case_mesh(case, ref_stiffness)
+    tri_nodes, gx, gy = _triangle_tables(mesh)
     local = (gx[:, :, None] * gx[:, None, :] +
              gy[:, :, None] * gy[:, None, :]) * mesh.area
-    fi = mesh.free_index
-    rows = fi[np.repeat(mesh.tri_nodes, 3, axis=1).ravel()]
-    cols = fi[np.tile(mesh.tri_nodes, (1, 3)).ravel()]
-    keep = (rows >= 0) & (cols >= 0)
-    n = mesh.n_free
-    ref = sp.coo_matrix((local.ravel()[keep], (rows[keep], cols[keep])),
-                        shape=(n, n)).tocsr().tocoo()
-    K = _stencil_stiffness(mesh)
+    ref = _triangle_assembly(mesh, tri_nodes, local).tocoo()
+    K = _stiffness(mesh)
     assert K.has_canonical_format
-    stored = K.copy()
-    stored.data[:] = 1.0
-    stored = np.asarray(stored[ref.row, ref.col]).ravel() == 1.0
-    assert stored.sum() == K.nnz
-    assert np.all(ref.data[~stored] == 0.0)
+    stored = _stored_pattern(K, ref)
     got = np.asarray(K[ref.row, ref.col]).ravel()[stored]
     want = ref.data[stored]
     off = (ref.row != ref.col)[stored]
@@ -474,12 +466,51 @@ def test_stencil_stiffness_equals_triangle_assembly(case, ref_stiffness):
     assert np.all(np.abs(got - want) <= 2 * np.spacing(np.abs(want)))
 
 
-def test_p2_solve_builds_no_assembler(monkeypatch):
-    # only Newton's Hessians (p != 2) read the assembler's slot tables
-    def refuse(self, M):
-        raise AssertionError("p = 2 built an _Assembler")
+@pytest.mark.parametrize("p", [1.5, 3.0])
+@pytest.mark.parametrize("case", _STENCIL_CASES)
+def test_hessian_equals_triangle_assembly(case, p, ref_stiffness, rng):
+    # the Hessian at a random positive v against a COO -> CSR assembly of
+    # area (w grad phi grad phi^T + c q q^T) over the listed triangles, with
+    # w = d2^(p/2-1), c = (p-2) d2^(p/2-2), q = grad v . grad phi and d2
+    # the floored |grad v|^2.  The reference runs in long double: where
+    # |grad v| is small, w grad phi grad phi^T and c q q^T nearly cancel,
+    # and in double precision this summation order then loses up to about
+    # a hundred ulps of the largest entry
+    mesh = _stencil_case_mesh(case, ref_stiffness)
+    flat = mesh.embed(rng.random(mesh.n_free) + 0.1)
+    tri_nodes, gx, gy = (np.asarray(a, dtype=np.longdouble)
+                         for a in _triangle_tables(mesh))
+    tri_nodes = tri_nodes.astype(np.int64)
+    vals = flat.astype(np.longdouble)[tri_nodes]
+    tgx = (gx * vals).sum(axis=1)
+    tgy = (gy * vals).sum(axis=1)
+    g2 = tgx * tgx + tgy * tgy
+    d2 = g2 + 1e-10 ** 2 * g2.max()
+    w = d2 ** (0.5 * p - 1.0)
+    c = (p - 2.0) * d2 ** (0.5 * p - 2.0)
+    q = tgx[:, None] * gx + tgy[:, None] * gy
+    local = mesh.area * (
+        w[:, None, None] * (gx[:, :, None] * gx[:, None, :] +
+                            gy[:, :, None] * gy[:, None, :]) +
+        c[:, None, None] * (q[:, :, None] * q[:, None, :]))
+    ref = _triangle_assembly(mesh, tri_nodes, local).tocoo()
+    H = _hessian(mesh, flat, p)
+    assert H.has_canonical_format
+    stored = _stored_pattern(H, ref)
+    got = np.asarray(H[ref.row, ref.col]).ravel()[stored]
+    err = np.abs(got - ref.data[stored]).max()
+    assert err <= 6 * np.spacing(float(np.abs(ref.data).max()))
 
-    monkeypatch.setattr(_Assembler, "__init__", refuse)
+
+def test_p2_solve_builds_no_hessian(monkeypatch):
+    # K is built by the stencil directly; only Newton (p != 2) builds
+    # Hessians
+    from polarlap import eigensolve
+
+    def refuse(*args):
+        raise AssertionError("p = 2 built a Hessian")
+
+    monkeypatch.setattr(eigensolve, "_hessian", refuse)
     assert solve(_annulus_mesh(16), SolverConfig(p=2.0)).converged
 
 
@@ -555,19 +586,20 @@ def test_p19_newton_work_is_bounded(monkeypatch):
 
 
 def test_p3_stiffness_assemblies_are_bounded(monkeypatch, ref_stiffness):
-    # one Hessian assembly per Newton step, the stencil K is not counted:
-    # continuation 2 -> 2.5 -> 3 from the p = 2 eigenfunction assembles 11
+    # one Hessian per Newton step, the stencil K is not counted:
+    # continuation 2 -> 2.5 -> 3 from the p = 2 eigenfunction builds 11
     # Hessians; inverse iteration started each inner solve on its ray
     # minimizer and assembled 41 in 20 outer steps (23 with a Newton
     # finish), and 125 without that start
-    stiffness = _Assembler.stiffness
+    from polarlap import eigensolve
+    hessian = eigensolve._hessian
     calls = []
 
-    def counted(self, *args, **kwargs):
+    def counted(*args):
         calls.append(1)
-        return stiffness(self, *args, **kwargs)
+        return hessian(*args)
 
-    monkeypatch.setattr(_Assembler, "stiffness", counted)
+    monkeypatch.setattr(eigensolve, "_hessian", counted)
     res = solve(ref_stiffness[0], SolverConfig(p=3.0))
     assert res.converged
     assert len(calls) <= 60
@@ -624,9 +656,9 @@ def _record_stage_exponents(monkeypatch) -> list:
     newton_step = eigensolve._newton_step
     exponents = []
 
-    def recorded(M, asm, T, x, lam, r, p):
+    def recorded(M, T, x, lam, r, p):
         exponents.append(p)
-        return newton_step(M, asm, T, x, lam, r, p)
+        return newton_step(M, T, x, lam, r, p)
 
     monkeypatch.setattr(eigensolve, "_newton_step", recorded)
     return exponents

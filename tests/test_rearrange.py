@@ -1,5 +1,7 @@
 """Nodal function polarization, lumped norms, supports, non-expansivity."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -296,6 +298,16 @@ def test_nodal_p_norm_bit_identical_to_weight_formula(rng, p):
     for u in _partial_functions(rng):
         want = _sorted_sum(node_weights(u.support_mask) * np.abs(u.values) ** p) ** (1.0 / p)
         assert nodal_p_norm(u, p) == want
+
+
+@pytest.mark.parametrize("p", [math.nan, math.inf])
+def test_norms_reject_non_finite_p(rng, p):
+    # nan passed the p < 1 test; at inf nodal_p_norm returned 1.0
+    u = _partial_functions(rng)[0]
+    with pytest.raises(ValueError, match="p must"):
+        nodal_p_norm(u, p)
+    with pytest.raises(ValueError, match="p must"):
+        lattice_p_norm(u.values, u.grid.spacing, p)
 
 
 def test_gridfunction_incidence_read_only(rng):
