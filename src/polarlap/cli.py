@@ -262,6 +262,10 @@ def parse_config(text: str) -> ScenarioConfig:
         raise ParseError(str(exc)) from exc
     cfg = _decode(ScenarioConfig, raw, "config")
     # rules the runners enforce, checked here so they fail before any solve
+    if (d := cfg.domain) is not None and d.bc_obstacles is not None:
+        with _invalid("domain.bc_obstacles"):
+            _expect(len(d.bc_obstacles) == len(d.obstacles),
+                    f"a list of {len(d.obstacles)}", d.bc_obstacles)
     if (t := cfg.translate) is not None:
         with _invalid("translate.direction"):
             xp.check_unit(t.direction, "translation direction")

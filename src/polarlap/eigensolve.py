@@ -216,6 +216,8 @@ class _TwoGrid(spla.LinearOperator):
 
     def _set_matrix(self, K: sp.csr_matrix):
         diag = K.diagonal()
+        if not diag.min() > 0.0:
+            raise RuntimeError("two-grid needs a positive diagonal")
         self.P = self.P0 - sp.diags(2.0 / 3.0 / diag) @ (K @ self.P0)
         self.PT = self.P.T  # a view; transposing per application cost 8%
         self.K = K
@@ -400,7 +402,9 @@ def _newton_step(M: TriMesh, T: _TwoGrid, x: np.ndarray, lam: float,
     annihilates an eigenfunction and is positive semidefinite on
     {g^T t = 0} at a minimizer of the quotient, but can be indefinite away
     from one, so a solve that misses its tolerance or ends on nonpositive
-    curvature t^T Q^T A Q t <= 0 fails.
+    curvature t^T Q^T A Q t <= 0 fails, as does a Hessian whose two-grid
+    cannot be built (a diagonal entry that is not positive, or a singular
+    coarse matrix).
     """
     flat = M.embed(x)
     g = grad_mass_flat(M, flat, p) / p
@@ -415,7 +419,10 @@ def _newton_step(M: TriMesh, T: _TwoGrid, x: np.ndarray, lam: float,
         y = A @ (t - x * (float(g @ t) / gx))
         return y - g * (float(x @ y) / gx)
 
-    C = T.for_matrix(Kh)
+    try:
+        C = T.for_matrix(Kh)
+    except RuntimeError:  # weights that underflow leave Kh singular
+        return None
     Cg = C.matvec(g)
     gCg = float(g @ Cg)
 
@@ -433,11 +440,13 @@ def _newton_step(M: TriMesh, T: _TwoGrid, x: np.ndarray, lam: float,
 
 
 # The exponent ladder of `_continuation`: its first p-step, the res_rel that
-# ends a stage short of p and the LOBPCG start, and the Newton steps a stage
-# may take before it counts as failed.
+# ends a stage short of p and the LOBPCG start, and the window of Newton
+# steps over which a stage must lower res_rel and within which an easy stage
+# ends (Newton judged by its observed contraction: Deuflhard, Newton Methods
+# for Nonlinear Problems, 2004, ch. 5).
 _P_STEP = 0.5
 _STAGE_TOL = 1e-4
-_STAGE_STEPS = 10
+_WINDOW = 3
 
 
 def _evaluate(M: TriMesh, x: np.ndarray, p: float
@@ -469,12 +478,12 @@ def _continuation(M: TriMesh, T: _TwoGrid, x: np.ndarray, cfg: SolverConfig
     res_rel = max|grad E - lam grad M| / (lam max|grad M|) <= outer_tol.
     A stage fails when a step fails or is refused, when its lam or res_rel
     is not finite (the step is refused before a Hessian is built), or when
-    it would take more than 10 steps; it then restarts from the last
-    accepted iterate with half the p-step.  A stage done in at most 3 steps
-    doubles the p-step, which starts at 0.5.  LOBPCG and Newton steps, kept
-    or not, count in outer_iters, and the solve ends unconverged after
-    max_outer.  Energies that overflow at large p only fail stages, so
-    floating-point warnings are silenced here.
+    res_rel after step k >= 3 is not below that after step k - 3; it then
+    restarts from the last accepted iterate with half the p-step.  A stage
+    done within 3 steps doubles the p-step, which starts at 0.5.  LOBPCG and
+    Newton steps, kept or not, count in outer_iters, and the solve ends
+    unconverged after max_outer.  Energies that overflow at large p only
+    fail stages, so floating-point warnings are silenced here.
     """
     p = cfg.p
     x, _, _, iters, _ = _lobpcg(M, T, _mass_normalize(M, x, 2.0),
@@ -486,17 +495,17 @@ def _continuation(M: TriMesh, T: _TwoGrid, x: np.ndarray, cfg: SolverConfig
             tol = cfg.outer_tol if q == p else _STAGE_TOL
             y = _mass_normalize(M, x, q)
             lam, r, res = _evaluate(M, y, q)
-            k = 0
-            while not res <= tol and k < _STAGE_STEPS \
-                    and iters < cfg.max_outer:
+            hist = [res]  # res_rel at the start and after each kept step
+            while not res <= tol and iters < cfg.max_outer \
+                    and (len(hist) <= _WINDOW or res < hist[-1 - _WINDOW]):
                 iters += 1
-                k += 1
                 y_new = _newton_step(M, T, y, lam, r, q) \
                     if math.isfinite(lam) and math.isfinite(res) else None
                 trial = None if y_new is None else _evaluate(M, y_new, q)
                 if trial is None or not (trial[2] < res or trial[0] < lam):
                     break
                 y, (lam, r, res) = y_new, trial
+                hist.append(res)
             if res <= tol and q == p:
                 return y, lam, float(np.abs(r).max()), iters, True
             if iters == cfg.max_outer:
@@ -506,7 +515,7 @@ def _continuation(M: TriMesh, T: _TwoGrid, x: np.ndarray, cfg: SolverConfig
                 return y, lam, float(np.abs(r).max()), iters, False
             if res <= tol:
                 x, done = y, q
-                if k <= 3:
+                if len(hist) <= _WINDOW + 1:
                     step *= 2.0
             else:
                 step = 0.5 * (q - done)

@@ -393,6 +393,8 @@ MALFORMED_BASES = {
      "unknown key(s) ['inner_tol'] in solver"),
     ("translate", "solver.smoothing_eps", 1e-10,
      "unknown key(s) ['smoothing_eps'] in solver"),
+    ("solve", "domain.bc_obstacles", ["dirichlet", "neumann"],
+     "domain.bc_obstacles: expected a list of 0"),
 ])
 def test_main_malformed_value_one_line_error(tmp_path, capsys, base, path,
                                              value, field):
@@ -444,6 +446,30 @@ def test_main_extreme_p_ends_without_traceback(tmp_path, capsys, p, code, line):
         verdict = json.loads((tmp_path / "out" / "verdict.json").read_text(),
                              parse_constant=reject)
         assert verdict["lambda"] is None
+
+
+# a coarse cell count per shipped config: the translate sweep's 1/16 shifts
+# must be whole cells, and the rotation and symmetry anchors at x = -0.25
+# grid nodes (n a multiple of 66)
+SMOKE_GRID_N = {"annulus_study.cfg": 16, "fk_check_ellipse.cfg": 24,
+                "rotate_sweep_annulus.cfg": 66, "solve_square.cfg": 24,
+                "symmetry_check_annulus.cfg": 66, "translate_sweep_disk.cfg": 33}
+
+
+@pytest.mark.parametrize("p", ["1.5", "50"])
+@pytest.mark.parametrize("name", sorted(f.name for f in CONFIG_DIR.glob("*.cfg")))
+def test_shipped_configs_end_without_traceback(tmp_path, capsys, name, p):
+    # every kind ends on an exit code and at most one stderr line, also at a
+    # p whose weights underflow the Newton Hessian's diagonal (fk-check at
+    # p = 50 on 24 cells, which raised from the two-grid's sparse LU)
+    kind = json.loads((CONFIG_DIR / name).read_text())["kind"]
+    code = main([kind, "--config", str(CONFIG_DIR / name), "--p", p,
+                 "--grid-n", str(SMOKE_GRID_N[name]),
+                 "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code in (0, 2, 3)
+    assert len(err.splitlines()) <= 1
+    assert "Traceback" not in err
 
 
 def test_main_solve_with_overrides(tmp_path):

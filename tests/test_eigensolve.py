@@ -691,6 +691,34 @@ def test_failed_newton_solves_halve_the_p_step(monkeypatch):
     assert _res_rel(mesh, res) <= cfg.outer_tol
 
 
+def test_p16_stage_ends_on_its_own_residuals(monkeypatch, ref_stiffness):
+    # the stage at 1.6 lowers res_rel over every 3 steps and reaches the
+    # bound; a cap of 10 Newton steps per stage failed it and detoured
+    # through q = 1.8 (43 steps)
+    exponents = _record_stage_exponents(monkeypatch)
+    cfg = SolverConfig(p=1.6)
+    res = solve(ref_stiffness[0], cfg)
+    assert set(exponents) == {1.6}
+    assert res.converged
+    assert res.outer_iters <= 35
+    assert _res_rel(ref_stiffness[0], res) <= cfg.outer_tol
+
+
+def test_underflowing_hessian_fails_the_step():
+    # at p = 50 on this ellipse the Hessian weights d2^(p/2-1) underflow to 0
+    # on most of the diagonal, so its two-grid cannot be built; that is a
+    # failed Newton step, and the solve ends unconverged instead of raising
+    # from the sparse LU
+    from polarlap.geometry import Ellipse
+    g = Grid((-0.75, -0.75), 0.0625, 24, 24)
+    outer = rasterize(Ellipse((0.03125, 0.0625), (0.5, 0.22), 0.9), g)
+    mesh = triangulate(PuncturedDomain(outer, ()))
+    cfg = SolverConfig(p=50.0)
+    res = solve(mesh, cfg)
+    assert res.converged is False
+    assert res.outer_iters == cfg.max_outer
+
+
 def test_p125_halves_the_p_step(monkeypatch):
     # after the stage at 1.5 the doubled p-step reaches 1.25 at once; that
     # stage fails, and shorter steps through 1.375 reach the bound
