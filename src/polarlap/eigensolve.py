@@ -7,7 +7,10 @@ once, for the result.
 One raster stencil, `_stencil_stiffness`, builds every free-node matrix:
 the stiffness K once per solve, at every p, and each Newton Hessian
 (p != 2), which is the same quadratic form with per-triangle weights and a
-rank-one term.
+rank-one term.  Its index structure is the mesh's (`TriMesh.stencil5` for
+K, `stencil7` for a Hessian), built once per mesh, so a matrix is one
+gather of its couplings; the Newton matrix A = Kh - lam (p-1) diag(h)
+shifts a copy of the Hessian's values on the pattern's diagonal slots.
 
 At p = 2 the problem is the symmetric pencil (K, B) of the free-node
 stiffness and the lumped mass, solved by single-vector LOBPCG (Knyazev,
@@ -37,10 +40,11 @@ Every symmetric positive definite solve is preconditioned by a two-grid
 smoothed-aggregation cycle (`_TwoGrid`): LOBPCG applies it once per step,
 and each Newton step runs projected conjugate gradients on the eigenpair's
 correction equation with a cycle built from its Hessian on the same
-aggregates.  Only coarse matrices
-(about 1/16 of the unknowns) are factored, at every p: a resident sparse
-LU of the 1/64 stiffness raised a p = 2 sweep's peak memory by 15%, and
-one fine LU per Newton step was most of a p = 3 solve.
+aggregates.  Only coarse matrices (about 1/16 of the unknowns) are
+factored, at every p, by a banded Cholesky (`_band_cholesky`): a resident
+sparse LU of the 1/64 stiffness raised a p = 2 sweep's peak memory by 15%,
+one fine LU per Newton step was most of a p = 3 solve, and a sparse LU of
+the coarse matrix took 2-3 ms of a 20 ms Newton step.
 """
 
 from __future__ import annotations
@@ -52,13 +56,13 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import lapack
 
 from .errors import NoFreeNodes, ZeroFunction
 from .discretize import (
     TriMesh,
-    energy_flat,
+    energy_grad_flat,
     energy_p,
-    grad_energy_flat,
     grad_energy_p,
     grad_mass_flat,
     grad_mass_p,
@@ -113,31 +117,25 @@ def rayleigh(M: TriMesh, u: GridFunction, p: float) -> float:
     return energy_p(M, u, p) / mass_p(M, u, p)
 
 
-def _stencil_stiffness(M: TriMesh, lower: np.ndarray, upper: np.ndarray,
-                       rank_one: tuple | None = None) -> sp.csr_matrix:
-    """sum_T area (w_T grad phi_i . grad phi_j + c_T q_Ti q_Tj) on the free
-    nodes, q_Ti = (gx, gy)_T . grad phi_i, built as the 7-point stencil it
-    is on this mesh (Strang-Fix, An Analysis of the Finite Element Method,
+def _couplings(M: TriMesh, lower: np.ndarray, upper: np.ndarray,
+               rank_one: tuple | None = None) -> np.ndarray:
+    """The coupling buffer (see `StencilPattern`) of
+    sum_T area (w_T grad phi_i . grad phi_j + c_T q_Ti q_Tj) on the free
+    nodes, q_Ti = (gx, gy)_T . grad phi_i, the 7-point stencil this form is
+    on the mesh (Strang-Fix, An Analysis of the Finite Element Method,
     1973).  lower and upper weigh each cell's two triangles on the cell
     raster (0 off the free cells); rank_one = (c, gx, gy) are (2, ny, nx)
-    rasters as from `triangle_gradients`.  K is the free-cell mask as both
-    weights and no rank-one term.
+    rasters as from `triangle_gradients`.
 
     With s = area / spacing^2 the diagonal is s times a sum of weights (so
     2 s k, one rounding, for k free cells at a node of K), each cell edge
     gets -s w per triangle, and the diagonal that splits a cell couples
-    only through the rank-one term.  Exact zeros are not stored: K holds
-    about 5 entries per row, a Hessian 7.
+    only through the rank-one term.
     """
     inv = 1.0 / M.grid.spacing
     s = inv * inv * M.area
-    nx1 = M.grid.nx + 1
-    # self, east, north and north-east couplings of every node, after a
-    # zero lead so that a row's west, south and south-west values, read
-    # off the neighbour's east, north and north-east, are in range
-    lead = nx1 + 1
-    buf = np.zeros((4, lead + M.n_nodes))
-    D, E, N, NE = buf[:, lead:].reshape((4,) + M.grid.node_shape)
+    buf = np.zeros((4, M.stencil_lead + M.n_nodes))
+    D, E, N, NE = buf[:, M.stencil_lead:].reshape((4,) + M.grid.node_shape)
     # lower triangle (00, 10, 11), upper triangle (00, 11, 01); each cell
     # adds to its corner nodes' slices, 00 at [:-1, :-1], 10 at [:-1, 1:],
     # 01 at [1:, :-1] and 11 at [1:, 1:]
@@ -169,40 +167,81 @@ def _stencil_stiffness(M: TriMesh, lower: np.ndarray, upper: np.ndarray,
         N[:-1, :-1] += c00[1] * q01
         N[:-1, 1:] += c[0] * q10 * q11[0]
         NE[:-1, :-1] += (c00 * q11).sum(axis=0)
-    n = M.n_free
-    g = M.free_nodes + lead
-    D, E, N, NE = buf
-    # a row's columns in increasing order, each with the couplings its
-    # value is read from: south-west, south, west, itself, east, north,
-    # north-east; without a rank-one term (K) the diagonal ones are 0
-    stencil = [(NE, -nx1 - 1), (N, -nx1), (E, -1), (D, 0), (E, 1), (N, nx1),
-               (NE, nx1 + 1)]
-    if rank_one is None:
-        stencil = stencil[1:-1]
-    offsets = np.array([o for _, o in stencil])
-    data = np.stack([v.take(g + min(o, 0)) for v, o in stencil], axis=1)
-    # the free index with the same lead and a trailing pad of -1; a
-    # neighbour past the window's edge has a zero coupling, so its wrapped
-    # column is dropped with the zeros
-    free_index = np.full(M.n_nodes + 2 * lead, -1, dtype=np.int32)
-    free_index[lead:-lead] = M.free_index
-    cols = free_index[g[:, None] + offsets]
-    kept = np.flatnonzero((data != 0.0) & (cols >= 0))
-    indptr = np.zeros(n + 1, dtype=np.int32)
-    np.cumsum(np.bincount(kept // offsets.size, minlength=n), out=indptr[1:])
-    return sp.csr_matrix((data.ravel()[kept], cols.ravel()[kept], indptr),
-                         shape=(n, n))
+    return buf
+
+
+def _stencil_stiffness(M: TriMesh, lower: np.ndarray, upper: np.ndarray,
+                       rank_one: tuple | None = None) -> sp.csr_matrix:
+    """The free-node matrix of `_couplings` on the mesh's stencil pattern:
+    K (the free-cell mask as both weights, no rank-one term) on the 5-point
+    `stencil5`, about 5 entries per row, and a Hessian on the 7-point
+    `stencil7`.  K's couplings are nonzero on every slot of its pattern; a
+    Hessian may store exact zeros."""
+    pattern = M.stencil5 if rank_one is None else M.stencil7
+    data = _couplings(M, lower, upper, rank_one).ravel()[pattern.gather]
+    return sp.csr_matrix((data, pattern.indices, pattern.indptr),
+                         shape=(M.n_free, M.n_free))
+
+
+def _band_cholesky(A: sp.coo_matrix) -> np.ndarray:
+    """The Cholesky factor L (A = L L^T) of the symmetric positive definite
+    A in LAPACK's lower band storage ab[i - j, j] = L[i, j], kd the
+    half-bandwidth read off A's upper triangle, for dpbtrs with lower=1;
+    RuntimeError when A is not positive definite.
+
+    In blocks of kd unknowns A is block tridiagonal, and so is U = L^T
+    (Golub-Van Loan, Matrix Computations, 4.3): U_kk = chol(A_kk - X^T X)
+    with X = U_k-1,k the block above U_kk, and U_k,k+1 = U_kk^-T A_k,k+1.
+    dpbtrf computes the same factor, but OpenBLAS runs its level-2 and
+    level-3 calls on the library's threads even at this size, and on two
+    cores those threads then contend with numpy's own for the rest of a
+    solve (a p = 3 solve at 1/64 ran 2x slower); dpotrf and dtrtri on one
+    block, and numpy's products, stay on the calling thread.
+    """
+    upper = A.row <= A.col
+    i, j = A.row[upper], A.col[upper]
+    n = A.shape[0]
+    kd = max(int((j - i).max()), 1)
+    m = -(-n // kd)
+    # row block k of U is W[k] = [U_kk, U_k,k+1]; A's blocks are read into
+    # the same places, and the unknowns past n that fill the last block are
+    # decoupled, with diagonal 1
+    W = np.zeros((m, kd, 2 * kd))
+    pad = np.arange(n, m * kd) - (m - 1) * kd
+    W[-1, pad, pad] = 1.0
+    W[i // kd, i % kd, j % kd + kd * (j // kd - i // kd)] = A.data[upper]
+    X = np.zeros((kd, kd))
+    for k in range(m):
+        U, info = lapack.dpotrf(W[k, :, :kd] - X.T @ X)
+        if info != 0:
+            raise RuntimeError("two-grid coarse matrix is not positive "
+                               "definite")
+        W[k, :, :kd] = U
+        X = lapack.dtrtri(U)[0].T @ W[k, :, kd:]
+        W[k, :, kd:] = X
+    # column i of L is row i of U from its diagonal on: W[k, r, r:r + kd + 1]
+    step = W.strides[2]
+    rows = np.lib.stride_tricks.as_strided(
+        W, (m, kd, kd + 1), (W.strides[0], W.strides[1] + step, step))
+    return rows.reshape(m * kd, kd + 1)[:n].T
 
 
 class _TwoGrid(spla.LinearOperator):
     """Symmetric two-grid V(1,1) cycle for an SPD free-node matrix K.
 
     Smoothed aggregation (Vanek-Mandel-Brezina, Computing 56, 1996) on the
-    raster: aggregates are fixed 4x4 blocks of free nodes, the prolongation
-    is P = (I - 2/3 D^-1 K) P0, and the Galerkin coarse matrix P^T K P is
-    factored once.  One damped-Jacobi sweep (omega = 0.6) runs before and
-    one after the coarse correction, so the cycle is symmetric and, as a
-    CG preconditioner, positive definite.
+    raster: aggregates are fixed 4x4 blocks of free nodes in row-major
+    order, and the prolongation is P = (I - 2/3 D^-1 K) P0 with sorted
+    column indices, so the cycle depends on K's values only, not on the
+    exact zeros K stores.  The Galerkin coarse matrix P^T K P couples an
+    aggregate with the next row of aggregates at most, so in that order it
+    is banded (half-bandwidth 32 on the 776 aggregates of the 1/64
+    reference annulus); it is factored once by `_band_cholesky` and each
+    coarse solve is LAPACK's banded dpbtrs.  One damped-Jacobi sweep
+    (omega = 0.6) runs before and one after the coarse correction, so the
+    cycle is symmetric and, as a CG preconditioner, positive definite.  A
+    diagonal entry of K that is not positive, or a coarse matrix that is
+    not positive definite, raises RuntimeError.
     """
 
     def __init__(self, M: TriMesh, K: sp.csr_matrix):
@@ -219,10 +258,11 @@ class _TwoGrid(spla.LinearOperator):
         if not diag.min() > 0.0:
             raise RuntimeError("two-grid needs a positive diagonal")
         self.P = self.P0 - sp.diags(2.0 / 3.0 / diag) @ (K @ self.P0)
+        self.P.sort_indices()
         self.PT = self.P.T  # a view; transposing per application cost 8%
         self.K = K
         self.jacobi = 0.6 / diag
-        self.coarse = spla.splu((self.PT @ (K @ self.P)).tocsc())
+        self.coarse = _band_cholesky((self.PT @ (K @ self.P)).tocoo())
 
     def for_matrix(self, K: sp.csr_matrix) -> "_TwoGrid":
         """The cycle for another matrix on the same free nodes; only the
@@ -231,10 +271,14 @@ class _TwoGrid(spla.LinearOperator):
         other._set_matrix(K)
         return other
 
+    def coarse_solve(self, b: np.ndarray) -> np.ndarray:
+        """(P^T K P)^-1 b from the banded factor."""
+        return lapack.dpbtrs(self.coarse, b, lower=1)[0]
+
     def _matvec(self, r):
         r = r.ravel()
         y = self.jacobi * r
-        y += self.P @ self.coarse.solve(self.PT @ (r - self.K @ y))
+        y += self.P @ self.coarse_solve(self.PT @ (r - self.K @ y))
         y += self.jacobi * (r - self.K @ y)
         return y
 
@@ -403,15 +447,17 @@ def _newton_step(M: TriMesh, T: _TwoGrid, x: np.ndarray, lam: float,
     {g^T t = 0} at a minimizer of the quotient, but can be indefinite away
     from one, so a solve that misses its tolerance or ends on nonpositive
     curvature t^T Q^T A Q t <= 0 fails, as does a Hessian whose two-grid
-    cannot be built (a diagonal entry that is not positive, or a singular
-    coarse matrix).
+    cannot be built (a diagonal entry that is not positive, or a coarse
+    matrix that is not positive definite).
     """
     flat = M.embed(x)
     g = grad_mass_flat(M, flat, p) / p
     h = np.zeros_like(x)  # m |x|^(p-2): the Hessian of M/p is (p-1) diag(h)
     np.divide(g, x, out=h, where=x != 0.0)
     Kh = _hessian(M, flat, p)
-    A = Kh - sp.diags(lam * (p - 1.0) * h)
+    shifted = Kh.data.copy()
+    shifted[M.stencil7.diag] -= lam * (p - 1.0) * h
+    A = sp.csr_matrix((shifted, Kh.indices, Kh.indptr), shape=Kh.shape)
     gx = float(g @ x)
 
     def op(t):
@@ -457,8 +503,9 @@ def _evaluate(M: TriMesh, x: np.ndarray, p: float
     a non-finite res_rel rather than an exception."""
     flat = M.embed(x)
     gm = grad_mass_flat(M, flat, p)
-    lam = energy_flat(M, flat, p) / mass_flat(M, flat, p)
-    r = grad_energy_flat(M, flat, p) - lam * gm
+    energy, ge = energy_grad_flat(M, flat, p)
+    lam = energy / mass_flat(M, flat, p)
+    r = ge - lam * gm
     return lam, r, np.abs(r).max() / (lam * np.abs(gm).max())
 
 

@@ -127,7 +127,8 @@ def _solve_domain(D: PuncturedDomain, cfg: SolverConfig) -> EigenResult:
 class FkVerdict:
     lambda_before: float
     lambda_after: float
-    relation: str      # leq | violated
+    relation: str      # leq | violated | unresolved (a solve unconverged or
+                       # with a non-finite lam)
     strict_case: str   # invariant | reflected | strict
     gap: float
     p: float
@@ -167,8 +168,13 @@ def fk_check(D: PuncturedDomain, H: Polarizer, cfg: SolverConfig) -> FkVerdict:
     before = _solve_domain(D, cfg)
     after = _solve_domain(D_pol, cfg)
     gap = before.lam - after.lam
-    relation = "leq" if after.lam <= before.lam + EPS_DISC_FACTOR * before.lam \
-        else "violated"
+    if not (before.converged and after.converged
+            and math.isfinite(before.lam) and math.isfinite(after.lam)):
+        relation = "unresolved"
+    elif after.lam <= before.lam + EPS_DISC_FACTOR * before.lam:
+        relation = "leq"
+    else:
+        relation = "violated"
     return FkVerdict(before.lam, after.lam, relation, strict_case, gap, cfg.p,
                      before.converged, after.converged,
                      cfg.p > strict_p_min())

@@ -472,6 +472,17 @@ def test_shipped_configs_end_without_traceback(tmp_path, capsys, name, p):
     assert "Traceback" not in err
 
 
+def test_fk_check_overflowing_p_is_unresolved(tmp_path):
+    # at p = 400 on 32 cells the energies overflow and both solves end
+    # unconverged; that once wrote "violated", a false counterexample
+    out = tmp_path / "out"
+    assert main(["fk-check", "--config", str(CONFIG_DIR / "fk_check_ellipse.cfg"),
+                 "--p", "400", "--grid-n", "32", "--out", str(out)]) == 3
+    verdict = json.loads((out / "verdict.json").read_text())
+    assert verdict["relation"] == "unresolved"
+    assert not (verdict["converged_before"] and verdict["converged_after"])
+
+
 def test_main_solve_with_overrides(tmp_path):
     path = tmp_path / "c.cfg"
     path.write_text(MINIMAL_SOLVE)

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from scipy.special import jn_zeros
 
 from polarlap.errors import NoFreeNodes, ZeroFunction
@@ -322,13 +323,20 @@ def test_solve_p16_small_mesh():
     _check_result_invariants(mesh, res, 1.6)
 
 
+def _nan_gradient(monkeypatch):
+    # the energy kernel of every evaluation returns its energy and a NaN
+    # gradient
+    from polarlap import eigensolve
+    kernel = eigensolve.energy_grad_flat
+    monkeypatch.setattr(eigensolve, "energy_grad_flat", lambda M, flat, p: (
+        kernel(M, flat, p)[0], np.full(M.n_free, np.nan)))
+
+
 def test_nan_gradient_is_not_converged(monkeypatch):
     # a NaN gradient (as after an overflow) must not raise; LOBPCG steps
     # count toward max_outer, and here the p = 2 start alone takes all five
     # (test_nan_residual_fails_every_stage goes past it)
-    from polarlap import eigensolve
-    monkeypatch.setattr(eigensolve, "grad_energy_flat",
-                        lambda M, flat, *args: np.full(M.n_free, np.nan))
+    _nan_gradient(monkeypatch)
     res = solve(_annulus_mesh(12), SolverConfig(p=1.5, max_outer=5))
     assert res.converged is False
     assert res.outer_iters == 5
@@ -340,8 +348,7 @@ def test_nan_residual_fails_every_stage(monkeypatch):
     # solve ends unconverged at max_outer without raising
     from polarlap import eigensolve
     hessians = []
-    monkeypatch.setattr(eigensolve, "grad_energy_flat",
-                        lambda M, flat, *args: np.full(M.n_free, np.nan))
+    _nan_gradient(monkeypatch)
     monkeypatch.setattr(eigensolve, "_hessian",
                         lambda *args: hessians.append(1))
     res = solve(_annulus_mesh(12), SolverConfig(p=1.5, max_outer=40))
@@ -430,7 +437,8 @@ def _stencil_case_mesh(case, ref_stiffness):
             "ref_50": lambda: _ref_annulus_mesh(50),
             "neumann_hole": lambda: _annulus_mesh(24, bc_inner=NEUMANN),
             "corners_dirichlet": lambda: _corner_touch_mesh(DIRICHLET),
-            "corners_neumann": lambda: _corner_touch_mesh(NEUMANN)}[case]()
+            "corners_neumann": lambda: _corner_touch_mesh(NEUMANN),
+            "square": lambda: _square_mesh(24)}[case]()
 
 
 def _stored_pattern(A, ref):
@@ -502,6 +510,81 @@ def test_hessian_equals_triangle_assembly(case, p, ref_stiffness, rng):
     assert err <= 6 * np.spacing(float(np.abs(ref.data).max()))
 
 
+def _filtered_stencil(M, lower, upper, rank_one=None):
+    # the stencil matrix as it was built before the per-mesh pattern: all 5
+    # (K) or 7 (Hessian) slots of every row gathered per call, then the
+    # exact zeros and the columns past the window's edge dropped
+    from polarlap import eigensolve
+    D, E, N, NE = eigensolve._couplings(M, lower, upper, rank_one)
+    nx1 = M.grid.nx + 1
+    lead = M.stencil_lead
+    stencil = [(NE, -nx1 - 1), (N, -nx1), (E, -1), (D, 0), (E, 1), (N, nx1),
+               (NE, nx1 + 1)]
+    if rank_one is None:
+        stencil = stencil[1:-1]
+    offsets = np.array([o for _, o in stencil])
+    g = M.free_nodes + lead
+    data = np.stack([v.take(g + min(o, 0)) for v, o in stencil], axis=1)
+    free_index = np.full(M.n_nodes + 2 * lead, -1, dtype=np.int32)
+    free_index[lead:-lead] = M.free_index
+    cols = free_index[g[:, None] + offsets]
+    kept = (data != 0.0) & (cols >= 0)
+    indptr = np.zeros(M.n_free + 1, dtype=np.int32)
+    np.cumsum(kept.sum(axis=1), out=indptr[1:])
+    return sp.csr_matrix((data[kept], cols[kept], indptr),
+                         shape=(M.n_free, M.n_free))
+
+
+@pytest.mark.parametrize("case", _STENCIL_CASES)
+def test_stencil_stiffness_equals_filtered_build(case, ref_stiffness):
+    # K's couplings are nonzero on every slot of its pattern, so the
+    # pattern build stores the same arrays as the filtered one
+    mesh = _stencil_case_mesh(case, ref_stiffness)
+    c = mesh.free_cells.mask.astype(float)
+    K, ref = _stiffness(mesh), _filtered_stencil(mesh, c, c)
+    for name in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(K, name), getattr(ref, name))
+
+
+@pytest.mark.parametrize("p", [1.5, 3.0, 6.0])
+@pytest.mark.parametrize("case", _STENCIL_CASES)
+def test_hessian_equals_filtered_build(case, p, ref_stiffness, rng,
+                                       monkeypatch):
+    # the same Hessian entry for entry; the pattern build may also store
+    # exact zeros
+    from polarlap import eigensolve
+    mesh = _stencil_case_mesh(case, ref_stiffness)
+    flat = mesh.embed(rng.random(mesh.n_free) + 0.1)
+    flat[mesh.free_nodes[::5]] = 0.0  # flat triangles: zero couplings
+    H = _hessian(mesh, flat, p)
+    monkeypatch.setattr(eigensolve, "_stencil_stiffness", _filtered_stencil)
+    ref = _hessian(mesh, flat, p)
+    assert (H != ref).nnz == 0
+    assert H.nnz >= ref.nnz
+    if mesh.n_free <= 2000:
+        assert np.array_equal(H.toarray(), ref.toarray())
+
+
+def test_stencil_pattern_is_built_once_per_mesh(rng):
+    # every Hessian of a mesh stores its indices in the mesh's read-only
+    # pattern, and the diagonal slots are where the shift goes
+    mesh = _annulus_mesh(16)
+    pattern = mesh.stencil7
+    assert mesh.stencil7 is pattern
+    for arr in (pattern.gather, pattern.indices, pattern.indptr,
+                pattern.diag):
+        assert not arr.flags.writeable
+    assert pattern.indices.dtype == pattern.indptr.dtype == np.int32
+    flat = mesh.embed(rng.random(mesh.n_free))
+    for p in (1.5, 3.0):
+        H = _hessian(mesh, flat, p)
+        assert np.shares_memory(H.indices, pattern.indices)
+        assert np.shares_memory(H.indptr, pattern.indptr)
+        assert np.array_equal(H.indices[pattern.diag],
+                              np.arange(mesh.n_free))
+        assert np.array_equal(H.data[pattern.diag], H.diagonal())
+
+
 def test_p2_solve_builds_no_hessian(monkeypatch):
     # K is built by the stencil directly; only Newton (p != 2) builds
     # Hessians
@@ -524,18 +607,64 @@ def test_two_grid_for_matrix_equals_fresh_build(ref_stiffness, rng):
     assert np.array_equal(shared.matvec(b), _TwoGrid(mesh, Kh).matvec(b))
 
 
+def test_banded_coarse_solve_matches_dense(ref_stiffness, rng):
+    mesh, K = ref_stiffness
+    T = _TwoGrid(mesh, K)
+    C = (T.PT @ (K @ T.P)).toarray()
+    b = rng.standard_normal(C.shape[0])
+    want = np.linalg.solve(C, b)
+    assert np.linalg.norm(T.coarse_solve(b) - want) <= \
+        1e-12 * np.linalg.norm(want)
+
+
+def test_indefinite_coarse_matrix_raises(ref_stiffness):
+    # K minus half its smallest diagonal entry keeps a positive diagonal,
+    # but smooth coarse vectors see a negative quotient
+    mesh, K = ref_stiffness
+    shifted = K - sp.identity(mesh.n_free, format="csr") * (
+        0.5 * K.diagonal().min())
+    assert shifted.diagonal().min() > 0.0
+    with pytest.raises(RuntimeError, match="not positive definite"):
+        _TwoGrid(mesh, shifted)
+
+
+@pytest.mark.parametrize("case", _STENCIL_CASES + ["square"])
+def test_two_grid_ignores_stored_zeros(case, ref_stiffness, rng):
+    # K on the 7-point pattern, with exact zeros on its south-west and
+    # north-east slots, gives the same cycle bit for bit: P's columns are
+    # sorted, so no product depends on where a zero is stored (unsorted,
+    # the cycles differed on the square, corners_neumann and 16-cell
+    # annulus meshes)
+    mesh = _stencil_case_mesh(case, ref_stiffness)
+    c = mesh.free_cells.mask.astype(float)
+    K = _stencil_stiffness(mesh, c, c)
+    zero = np.zeros((2,) + c.shape)
+    Kz = _stencil_stiffness(mesh, c, c, rank_one=(zero, zero, zero))
+    assert Kz.nnz > K.nnz
+    assert (Kz != K).nnz == 0
+    b = rng.standard_normal(mesh.n_free)
+    assert np.array_equal(_TwoGrid(mesh, Kz).matvec(b),
+                          _TwoGrid(mesh, K).matvec(b))
+
+
 @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
 def test_no_fine_factor_at_any_p(monkeypatch, p):
-    # only coarse two-grid matrices are factored, on both sides of p = 2
+    # only coarse two-grid matrices are factored, by the banded Cholesky,
+    # on both sides of p = 2; no sparse LU is made
     import scipy.sparse.linalg as spla
-    splu = spla.splu
+    from polarlap import eigensolve
+    band_cholesky = eigensolve._band_cholesky
     rows = []
 
-    def recording(A, *args, **kwargs):
+    def recording(A):
         rows.append(A.shape[0])
-        return splu(A, *args, **kwargs)
+        return band_cholesky(A)
 
-    monkeypatch.setattr(spla, "splu", recording)
+    def refuse(*args, **kwargs):
+        raise AssertionError("a sparse LU was made")
+
+    monkeypatch.setattr(eigensolve, "_band_cholesky", recording)
+    monkeypatch.setattr(spla, "splu", refuse)
     mesh = _annulus_mesh(32)
     res = solve(mesh, SolverConfig(p=p))
     assert res.converged
@@ -550,14 +679,14 @@ def test_no_fine_factor_at_any_p(monkeypatch, p):
 
 def _count_energy_calls(monkeypatch) -> list:
     from polarlap import eigensolve
-    energy_flat = eigensolve.energy_flat
+    kernel = eigensolve.energy_grad_flat
     calls = []
 
     def counted(*args):
         calls.append(1)
-        return energy_flat(*args)
+        return kernel(*args)
 
-    monkeypatch.setattr(eigensolve, "energy_flat", counted)
+    monkeypatch.setattr(eigensolve, "energy_grad_flat", counted)
     return calls
 
 
@@ -704,19 +833,59 @@ def test_p16_stage_ends_on_its_own_residuals(monkeypatch, ref_stiffness):
     assert _res_rel(ref_stiffness[0], res) <= cfg.outer_tol
 
 
-def test_underflowing_hessian_fails_the_step():
-    # at p = 50 on this ellipse the Hessian weights d2^(p/2-1) underflow to 0
-    # on most of the diagonal, so its two-grid cannot be built; that is a
-    # failed Newton step, and the solve ends unconverged instead of raising
-    # from the sparse LU
+def _ellipse_24():
     from polarlap.geometry import Ellipse
     g = Grid((-0.75, -0.75), 0.0625, 24, 24)
     outer = rasterize(Ellipse((0.03125, 0.0625), (0.5, 0.22), 0.9), g)
-    mesh = triangulate(PuncturedDomain(outer, ()))
+    return triangulate(PuncturedDomain(outer, ()))
+
+
+def test_underflowing_hessian_fails_the_step(monkeypatch):
+    # Hessian weights d2^(p/2-1) that underflow to 0 around a node leave a
+    # zero on its diagonal, so the Hessian's two-grid cannot be built; that
+    # is a failed Newton step, and the solve ends unconverged instead of
+    # raising.  p = 50 on this ellipse did so once per solve while the
+    # coarse matrix had a sparse LU, and now converges
+    # (test_large_p_on_the_ellipse), so the zero is put on every Hessian
+    from polarlap import eigensolve
+    hessian = eigensolve._hessian
+    failures = []
+
+    def underflowed(M, flat, p):
+        H = hessian(M, flat, p)
+        H.data[M.stencil7.diag[0]] = 0.0
+        return H
+
+    set_matrix = eigensolve._TwoGrid._set_matrix
+
+    def recorded(self, K):
+        try:
+            set_matrix(self, K)
+        except RuntimeError:
+            failures.append(1)
+            raise
+
+    monkeypatch.setattr(eigensolve, "_hessian", underflowed)
+    monkeypatch.setattr(eigensolve._TwoGrid, "_set_matrix", recorded)
     cfg = SolverConfig(p=50.0)
-    res = solve(mesh, cfg)
+    res = solve(_ellipse_24(), cfg)
     assert res.converged is False
     assert res.outer_iters == cfg.max_outer
+    assert failures
+
+
+def test_large_p_on_the_ellipse():
+    # with the coarse matrix factored by banded Cholesky, the Hessians of
+    # this ellipse keep a usable two-grid at large p: p = 40 took 96 steps
+    # and p = 50 ended unconverged at 200 while the factor was a sparse LU
+    mesh = _ellipse_24()
+    res = solve(mesh, SolverConfig(p=40.0))
+    assert res.converged
+    assert res.outer_iters <= 60
+    cfg = SolverConfig(p=50.0)
+    res = solve(mesh, cfg)
+    assert res.converged
+    assert _res_rel(mesh, res) <= cfg.outer_tol
 
 
 def test_p125_halves_the_p_step(monkeypatch):

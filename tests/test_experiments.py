@@ -126,6 +126,18 @@ def test_fk_randomized_never_violated(rng):
         assert v.converged_before and v.converged_after
 
 
+def test_fk_unconverged_solve_is_unresolved():
+    # one step leaves both solves unconverged, so neither lam decides the
+    # relation, whichever is larger
+    g = _grid(16)
+    D = PuncturedDomain(
+        rasterize(Ellipse((0.03125, 0.0625), (0.5, 0.22), angle=0.9), g), ())
+    v = fk_check(D, Polarizer((1.0, 0.0), 0.0),
+                 SolverConfig(p=3.0, max_outer=1))
+    assert not v.converged_before and not v.converged_after
+    assert v.relation == "unresolved"
+
+
 def test_fk_inadmissible_polarizer():
     g = _grid()
     outer = rasterize(Disk((0.0, 0.0), 0.6), g)
