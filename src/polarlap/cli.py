@@ -372,8 +372,8 @@ def _dispatch(cfg: ScenarioConfig, out: Path) -> bool:
         verdict = xp.fk_check(D, cfg.polarizer, cfg.solver)
         _write(out / "result.csv", formats.sweep_to_csv(
             [0.0, 1.0], [verdict.lambda_before, verdict.lambda_after],
-            [verdict.converged_before, verdict.converged_after], [0, 0],
-            [0.0, 0.0]))
+            [verdict.converged_before, verdict.converged_after],
+            verdict.outer_iters, verdict.residuals))
         _write(out / "verdict.json", formats.dumps_json(asdict(verdict)))
         return not (verdict.converged_before and verdict.converged_after)
 
@@ -407,11 +407,12 @@ def _dispatch(cfg: ScenarioConfig, out: Path) -> bool:
         D = cfg.domain.build(cfg.grid)
         sym = cfg.symmetry
         report = xp.symmetry_check(D, sym.anchor, sym.axis, cfg.solver)
+        res = report.result
         _write(out / "result.csv", formats.sweep_to_csv(
-            [0.0], [report.lam], [report.converged], [0], [0.0]))
+            [0.0], [res.lam], [res.converged], [res.outer_iters], [res.residual]))
         _write(out / "verdict.json", formats.dumps_json(report.to_dict()))
-        _write(out / "eigenfunction.pgm", formats.function_to_pgm(report.u))
-        return not report.converged
+        _write(out / "eigenfunction.pgm", formats.function_to_pgm(res.u))
+        return not res.converged
 
     raise ValidationError(f"unknown kind {kind!r}", field="kind")
 
@@ -431,6 +432,9 @@ def _apply_overrides(cfg: ScenarioConfig, args) -> ScenarioConfig:
         # preserve the covered box: rescale the spacing with the cell count;
         # the inner replace rejects n < 2 before the division
         with _invalid("--grid-n"):
+            if grid.nx != grid.ny:
+                raise ValueError(f"needs a square grid, not {grid.nx} x "
+                                 f"{grid.ny} cells")
             grid = replace(replace(grid, nx=n, ny=n),
                            spacing=grid.spacing * grid.nx / n)
     return replace(cfg, solver=solver, grid=grid)

@@ -1,50 +1,32 @@
 """First eigenpair of the p-Laplacian on a triangulated punctured domain.
 
-One entry point, `solve`, serves every p > 1 and works on free-node
-vectors through the flat discretize kernels; the GridFunction is built
-once, for the result.
-
-One raster stencil, `_stencil_stiffness`, builds every free-node matrix:
-the stiffness K once per solve, at every p, and each Newton Hessian
-(p != 2), which is the same quadratic form with per-triangle weights and a
-rank-one term.  Its index structure is the mesh's (`TriMesh.stencil5` for
-K, `stencil7` for a Hessian), built once per mesh, so a matrix is one
-gather of its couplings; the Newton matrix A = Kh - lam (p-1) diag(h)
-shifts a copy of the Hessian's values on the pattern's diagonal slots.
+One entry point, `solve`, serves every p > 1 and iterates on free-node
+vectors; the energies, their gradients, K and each Newton Hessian Kh come
+from `discretize`, and A = Kh - lam (p-1) diag(h) shifts a copy of Kh's
+values on its diagonal slots (`TriMesh.stencil7.diag`).
 
 At p = 2 the problem is the symmetric pencil (K, B) of the free-node
-stiffness and the lumped mass, solved by single-vector LOBPCG (Knyazev,
-SIAM J. Sci. Comput. 23, 2001): each step is a Rayleigh-Ritz on the
-iterate, the preconditioned residual and the previous direction.  It stops
-when |K x - lam B x|_inf <= outer_tol * lam * |B x|_inf, and outer_iters
-counts its steps.  The 3x3 Ritz problem is solved in plain Python: the
-first LAPACK eigh call maps about 1.4 MB of library pages, which showed in
-a sweep's peak memory.
+stiffness and the lumped mass, solved by single-vector LOBPCG (`_lobpcg`;
+Knyazev, SIAM J. Sci. Comput. 23, 2001).  Its 3x3 Ritz problem is solved
+in plain Python: the first LAPACK eigh call maps about 1.4 MB of library
+pages, which showed in a sweep's peak memory.
 
-At p != 2 one driver continues in the exponent (Allgower-Georg, Numerical
-Continuation Methods, 1990): LOBPCG gives the p = 2 eigenfunction to a
-loose residual, and each stage of an adaptive ladder of exponents from 2
-to p renormalizes the last accepted iterate to unit mass at the stage's
-exponent and runs Newton on the eigenpair (a Jacobi-Davidson correction on
-the unit-mass sphere).  A Newton step is kept when it lowers the residual
-or lam; a stage that fails goes back to the last accepted iterate with
-half the p-step, and an easy one doubles it.  Every p stops on the same
-bound: max|grad E - lam grad M| <= outer_tol * lam * max|grad M| with E =
-energy_p and M = mass_p, which at p = 2 is the LOBPCG bound above.
-The Newton Hessian floors |grad v| at 1e-10 max|grad v|.
-An inverse-iteration warm-up for Newton spent most of a p = 3 solve, and
-a nonlinear analogue of the LOBPCG step at p = 3 stalled near a 3e-5
-residual.
+At p != 2 one driver, `_continuation`, runs Newton on the eigenpair
+(`_newton_step`) along an adaptive ladder of exponents from the p = 2
+eigenfunction to p.  Every p stops on the same bound,
+max|grad E - lam grad M| <= outer_tol * lam * max|grad M| with E =
+energy_p and M = mass_p (|K x - lam B x|_inf <= outer_tol lam |B x|_inf
+at p = 2).  An inverse-iteration warm-up for Newton spent most of a p = 3
+solve, and a nonlinear analogue of the LOBPCG step at p = 3 stalled near
+a 3e-5 residual.
 
-Every symmetric positive definite solve is preconditioned by a two-grid
-smoothed-aggregation cycle (`_TwoGrid`): LOBPCG applies it once per step,
-and each Newton step runs projected conjugate gradients on the eigenpair's
-correction equation with a cycle built from its Hessian on the same
-aggregates.  Only coarse matrices (about 1/16 of the unknowns) are
-factored, at every p, by a banded Cholesky (`_band_cholesky`): a resident
-sparse LU of the 1/64 stiffness raised a p = 2 sweep's peak memory by 15%,
-one fine LU per Newton step was most of a p = 3 solve, and a sparse LU of
-the coarse matrix took 2-3 ms of a 20 ms Newton step.
+Every symmetric positive definite solve, in LOBPCG and in each Newton
+step, is preconditioned by a two-grid cycle (`_TwoGrid`), and only coarse
+matrices (about 1/16 of the unknowns) are factored, at every p, by a
+banded Cholesky (`_band_cholesky`): a resident sparse LU of the 1/64
+stiffness raised a p = 2 sweep's peak memory by 15%, one fine LU per
+Newton step was most of a p = 3 solve, and a sparse LU of the coarse
+matrix took 2-3 ms of a 20 ms Newton step.
 """
 
 from __future__ import annotations
@@ -66,9 +48,10 @@ from .discretize import (
     grad_energy_p,
     grad_mass_flat,
     grad_mass_p,
+    hessian_flat,
     mass_flat,
     mass_p,
-    triangle_gradients,
+    stiffness_matrix,
 )
 from .rearrange import GridFunction
 
@@ -115,72 +98,6 @@ def rayleigh(M: TriMesh, u: GridFunction, p: float) -> float:
     if M.free_nodes.size == 0 or not np.any(flat[M.free_nodes]):
         raise ZeroFunction("Rayleigh quotient of a function vanishing on free nodes")
     return energy_p(M, u, p) / mass_p(M, u, p)
-
-
-def _couplings(M: TriMesh, lower: np.ndarray, upper: np.ndarray,
-               rank_one: tuple | None = None) -> np.ndarray:
-    """The coupling buffer (see `StencilPattern`) of
-    sum_T area (w_T grad phi_i . grad phi_j + c_T q_Ti q_Tj) on the free
-    nodes, q_Ti = (gx, gy)_T . grad phi_i, the 7-point stencil this form is
-    on the mesh (Strang-Fix, An Analysis of the Finite Element Method,
-    1973).  lower and upper weigh each cell's two triangles on the cell
-    raster (0 off the free cells); rank_one = (c, gx, gy) are (2, ny, nx)
-    rasters as from `triangle_gradients`.
-
-    With s = area / spacing^2 the diagonal is s times a sum of weights (so
-    2 s k, one rounding, for k free cells at a node of K), each cell edge
-    gets -s w per triangle, and the diagonal that splits a cell couples
-    only through the rank-one term.
-    """
-    inv = 1.0 / M.grid.spacing
-    s = inv * inv * M.area
-    buf = np.zeros((4, M.stencil_lead + M.n_nodes))
-    D, E, N, NE = buf[:, M.stencil_lead:].reshape((4,) + M.grid.node_shape)
-    # lower triangle (00, 10, 11), upper triangle (00, 11, 01); each cell
-    # adds to its corner nodes' slices, 00 at [:-1, :-1], 10 at [:-1, 1:],
-    # 01 at [1:, :-1] and 11 at [1:, 1:]
-    both = lower + upper
-    D[:-1, :-1] += both
-    D[:-1, 1:] += 2.0 * lower
-    D[1:, :-1] += 2.0 * upper
-    D[1:, 1:] += both
-    E[:-1, :-1] -= lower
-    E[1:, :-1] -= upper
-    N[:-1, :-1] -= upper
-    N[:-1, 1:] -= lower
-    buf *= s
-    if rank_one is not None:
-        c, gx, gy = rank_one
-        c = s * c
-        # q times the spacing at 00 and 11 of both triangles, 10 of the
-        # lower and 01 of the upper
-        q00 = np.stack([-gx[0], -gy[1]])
-        q11 = np.stack([gy[0], gx[1]])
-        q10, q01 = gx[0] - gy[0], gy[1] - gx[1]
-        c00 = c * q00
-        D[:-1, :-1] += (c00 * q00).sum(axis=0)
-        D[:-1, 1:] += c[0] * q10 * q10
-        D[1:, :-1] += c[1] * q01 * q01
-        D[1:, 1:] += (c * q11 * q11).sum(axis=0)
-        E[:-1, :-1] += c00[0] * q10
-        E[1:, :-1] += c[1] * q01 * q11[1]
-        N[:-1, :-1] += c00[1] * q01
-        N[:-1, 1:] += c[0] * q10 * q11[0]
-        NE[:-1, :-1] += (c00 * q11).sum(axis=0)
-    return buf
-
-
-def _stencil_stiffness(M: TriMesh, lower: np.ndarray, upper: np.ndarray,
-                       rank_one: tuple | None = None) -> sp.csr_matrix:
-    """The free-node matrix of `_couplings` on the mesh's stencil pattern:
-    K (the free-cell mask as both weights, no rank-one term) on the 5-point
-    `stencil5`, about 5 entries per row, and a Hessian on the 7-point
-    `stencil7`.  K's couplings are nonzero on every slot of its pattern; a
-    Hessian may store exact zeros."""
-    pattern = M.stencil5 if rank_one is None else M.stencil7
-    data = _couplings(M, lower, upper, rank_one).ravel()[pattern.gather]
-    return sp.csr_matrix((data, pattern.indices, pattern.indptr),
-                         shape=(M.n_free, M.n_free))
 
 
 def _band_cholesky(A: sp.coo_matrix) -> np.ndarray:
@@ -403,30 +320,6 @@ def _mass_normalize(M: TriMesh, free_vals: np.ndarray, p: float) -> np.ndarray:
     return v / mass_flat(M, M.embed(v), p) ** (1.0 / p)
 
 
-def _hessian(M: TriMesh, flat: np.ndarray, p: float) -> sp.csr_matrix:
-    """Hessian of energy_p/p at the nodal vector flat, on the free nodes,
-    with each triangle's |grad v|^2 raised by (1e-10 max|grad v|)^2, the
-    maximum taken over the free triangles.
-
-    Its local eigenvalues are then at least min(1, p-1) times the raised
-    |grad v|^(p-2), so it is positive definite where the exact one is
-    singular (p > 2) or unbounded (p < 2); the floor scales with v, so it
-    does not depend on the size of the iterate.
-    """
-    tgx, tgy = triangle_gradients(M, flat)  # 0 off the free cells
-    g2 = tgx * tgx + tgy * tgy
-    # 1e-10 ** 2 differs from the float 1e-20 in its last bits, and the
-    # eigenvalues the tests pin were computed with the former
-    d2 = g2 + 1e-10 ** 2 * g2.max(initial=0.0)
-    free = M.free_cells.mask
-    wts = np.zeros_like(d2)
-    np.power(d2, 0.5 * p - 1.0, out=wts, where=free)
-    fac = np.zeros_like(d2)  # (p - 2) d2^(p/2-2), without a second power
-    np.divide(wts, d2, out=fac, where=free)
-    fac *= p - 2.0
-    return _stencil_stiffness(M, wts[0], wts[1], rank_one=(fac, tgx, tgy))
-
-
 def _newton_step(M: TriMesh, T: _TwoGrid, x: np.ndarray, lam: float,
                  r: np.ndarray, p: float) -> np.ndarray | None:
     """One Newton step on the eigenpair from the unit-mass iterate x with
@@ -454,7 +347,7 @@ def _newton_step(M: TriMesh, T: _TwoGrid, x: np.ndarray, lam: float,
     g = grad_mass_flat(M, flat, p) / p
     h = np.zeros_like(x)  # m |x|^(p-2): the Hessian of M/p is (p-1) diag(h)
     np.divide(g, x, out=h, where=x != 0.0)
-    Kh = _hessian(M, flat, p)
+    Kh = hessian_flat(M, flat, p)
     shifted = Kh.data.copy()
     shifted[M.stencil7.diag] -= lam * (p - 1.0) * h
     A = sp.csr_matrix((shifted, Kh.indices, Kh.indptr), shape=Kh.shape)
@@ -585,8 +478,7 @@ def solve(M: TriMesh, cfg: SolverConfig | None = None) -> EigenResult:
         # constants are admissible and the quotient is 0
         u = M.function_from_flat(M.embed(x))
         return EigenResult(0.0, u, 0, 0.0, True, p)
-    c = M.free_cells.mask.astype(float)
-    T = _TwoGrid(M, _stencil_stiffness(M, c, c))
+    T = _TwoGrid(M, stiffness_matrix(M))
     if p == 2.0:
         x, lam, res, iters, converged = _lobpcg(M, T, x, cfg.outer_tol,
                                                 cfg.max_outer)

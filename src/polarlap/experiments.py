@@ -41,7 +41,7 @@ from .geometry import (
     translated_obstacle,
     witness_sets,
 )
-from .rearrange import GridFunction, polarize_function
+from .rearrange import polarize_function
 from .discretize import triangulate
 from .eigensolve import EigenResult, SolverConfig, solve
 
@@ -114,10 +114,6 @@ def build_sweep(params: Sequence[float], results: Sequence[EigenResult],
                        cfg.p > strict_p_min())
 
 
-def _solve_domain(D: PuncturedDomain, cfg: SolverConfig) -> EigenResult:
-    return solve(triangulate(D), cfg)
-
-
 # ---------------------------------------------------------------------------
 # polarization inequality check
 # ---------------------------------------------------------------------------
@@ -135,6 +131,8 @@ class FkVerdict:
     converged_before: bool
     converged_after: bool
     p_in_strict_range: bool  # p > strict_p_min(): inside the paper's theorem
+    outer_iters: tuple       # per solve, before and after
+    residuals: tuple
 
 
 def fk_check(D: PuncturedDomain, H: Polarizer, cfg: SolverConfig) -> FkVerdict:
@@ -165,8 +163,8 @@ def fk_check(D: PuncturedDomain, H: Polarizer, cfg: SolverConfig) -> FkVerdict:
     else:
         strict_case = "strict"
 
-    before = _solve_domain(D, cfg)
-    after = _solve_domain(D_pol, cfg)
+    before = solve(triangulate(D), cfg)
+    after = solve(triangulate(D_pol), cfg)
     gap = before.lam - after.lam
     if not (before.converged and after.converged
             and math.isfinite(before.lam) and math.isfinite(after.lam)):
@@ -176,8 +174,9 @@ def fk_check(D: PuncturedDomain, H: Polarizer, cfg: SolverConfig) -> FkVerdict:
     else:
         relation = "violated"
     return FkVerdict(before.lam, after.lam, relation, strict_case, gap, cfg.p,
-                     before.converged, after.converged,
-                     cfg.p > strict_p_min())
+                     before.converged, after.converged, cfg.p > strict_p_min(),
+                     (before.outer_iters, after.outer_iters),
+                     (before.residual, after.residual))
 
 
 # ---------------------------------------------------------------------------
@@ -264,7 +263,7 @@ def translate_sweep(outer_shape: ShapeSpec, obstacle_shape: ShapeSpec, h,
             notes.append(f"s={s:g}: obstacle not admissible ({exc}); dropped")
             continue
         kept.append(s)
-        results.append(_solve_domain(D, cfg))
+        results.append(solve(triangulate(D), cfg))
     if len(kept) < 2:
         raise EmptyAdmissibleSet("fewer than 2 admissible sweep offsets remain")
     return build_sweep(kept, results, cfg, notes)
@@ -343,7 +342,7 @@ def rotate_sweep(variant: str, outer_shape: ShapeSpec,
             notes.append(f"s={s:g}: rotated obstacle not admissible ({exc}); dropped")
             continue
         kept.append(s)
-        results.append(_solve_domain(D, cfg))
+        results.append(solve(triangulate(D), cfg))
     if len(kept) < 2:
         raise EmptyAdmissibleSet("fewer than 2 admissible rotation poses remain")
     radial = is_foliated_schwarz(domain_fixed, a, -eta, fss_polarizer_pool(a, -eta, grid))
@@ -435,7 +434,7 @@ def annulus_study(R: float, r: float, alpha: float, rho: float,
                 dropped.append(s)
                 continue
             params.append(s)
-            results.append(_solve_domain(D, cfg))
+            results.append(solve(triangulate(D), cfg))
         return params, results, dropped
 
     notes = []
@@ -496,7 +495,7 @@ def annulus_study(R: float, r: float, alpha: float, rho: float,
             D = _feasible_obstacle(outer, hole, grid, (sx, sy), rho)
             if D is None:
                 continue
-            res = _solve_domain(D, cfg)
+            res = solve(triangulate(D), cfg)
             svals.append(sx)
             lams.append(res.lam)
             convs.append(res.converged)
@@ -530,15 +529,12 @@ class SymmetryReport:
     converged: bool
     defects: tuple          # per pool polarizer, sup|P_H u - u| / sup u
     max_defect: float
-    u: GridFunction = field(compare=False, repr=False)  # left out of to_dict
+    result: EigenResult = field(compare=False, repr=False)  # the solve
 
     def to_dict(self) -> dict:
-        return {
-            "lambda": self.lam,
-            "converged": self.converged,
-            "defects": list(self.defects),
-            "max_defect": self.max_defect,
-        }
+        """The solve's record (its u left out), defects and max_defect."""
+        return {**self.result.to_record(), "defects": list(self.defects),
+                "max_defect": self.max_defect}
 
 
 def symmetry_check(D: PuncturedDomain, a, eta, cfg: SolverConfig
@@ -562,11 +558,11 @@ def symmetry_check(D: PuncturedDomain, a, eta, cfg: SolverConfig
             if bc == NEUMANN and not is_reflection_symmetric(H, ob):
                 raise AssumptionViolated("Neumann hole breaks the pool symmetry")
 
-    res = _solve_domain(D, cfg)
+    res = solve(triangulate(D), cfg)
     sup = res.u.max_abs()
     defects = []
     for H in pool:
         pu = polarize_function(H, res.u)
         defects.append(float(np.abs(pu.values - res.u.values).max()) / sup)
     return SymmetryReport(res.lam, res.converged, tuple(defects),
-                          max(defects), res.u)
+                          max(defects), res)

@@ -92,13 +92,16 @@ def _svg_num(x: float) -> str:
 
 
 def sweep_to_svg(params, lambdas, converged, param_name: str = "param") -> str:
-    """Single-polyline plot; unconverged points become hollow markers."""
+    """Single-polyline plot; unconverged points become hollow markers.  Only
+    the points with a finite lambda are drawn, and they set the axes."""
     if len(params) < 2:
         raise ValueError("sweep plot needs at least 2 points")
+    shown = [pt for pt in zip(params, lambdas, converged) if math.isfinite(pt[1])]
+    xs, ys, _ = zip(*shown or [(0.0, 0.0, False)])
     width, height = 720.0, 480.0
     ml, mr, mt, mb = 80.0, 25.0, 25.0, 60.0
-    x0, x1 = min(params), max(params)
-    y0, y1 = min(lambdas), max(lambdas)
+    x0, x1 = min(xs), max(xs)
+    y0, y1 = min(ys), max(ys)
     if x1 == x0:
         x0, x1 = x0 - 0.5, x1 + 0.5
     if y1 == y0:
@@ -113,7 +116,7 @@ def sweep_to_svg(params, lambdas, converged, param_name: str = "param") -> str:
         return height - mb - (v - y0) / (y1 - y0) * (height - mt - mb)
 
     pts = " ".join(f"{_svg_num(sx(s))},{_svg_num(sy(l))}"
-                   for s, l in zip(params, lambdas))
+                   for s, l, _ in shown)
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {width:g} {height:g}">',
         f'<rect x="0" y="0" width="{width:g}" height="{height:g}" fill="white"/>',
@@ -123,7 +126,7 @@ def sweep_to_svg(params, lambdas, converged, param_name: str = "param") -> str:
         'stroke="black"/>',
         f'<polyline points="{pts}" fill="none" stroke="black" stroke-width="1.5"/>',
     ]
-    for s, lam, conv in zip(params, lambdas, converged):
+    for s, lam, conv in shown:
         fill = "black" if conv else "none"
         parts.append(f'<circle cx="{_svg_num(sx(s))}" cy="{_svg_num(sy(lam))}" '
                      f'r="4" fill="{fill}" stroke="black"/>')

@@ -288,6 +288,24 @@ def test_verdict_keys_are_result_fields(tmp_path):
                  "--out", str(out), "--grid-n", "16"]) == 0
     verdict = json.loads((out / "verdict.json").read_text())
     assert set(verdict) == _field_names(xp.FkVerdict)
+    # result.csv holds each solve's own step count and residual
+    rows = [row.split(",") for row in
+            (out / "result.csv").read_text().splitlines()[1:]]
+    for row, iters, res in zip(rows, verdict["outer_iters"],
+                               verdict["residuals"]):
+        assert int(row[3]) == iters > 0
+        assert float(row[4]) == res > 0.0
+
+    out = tmp_path / "symmetry"
+    assert main(["symmetry-check", "--config",
+                 str(CONFIG_DIR / "symmetry_check_annulus.cfg"),
+                 "--out", str(out), "--grid-n", "66"]) == 0
+    report = json.loads((out / "verdict.json").read_text())
+    assert set(report) == {"lambda", "iterations", "residual", "converged",
+                           "defects", "max_defect"}
+    row = (out / "result.csv").read_text().splitlines()[1].split(",")
+    assert int(row[3]) == report["iterations"] > 0
+    assert float(row[4]) == report["residual"] > 0.0
 
     out = tmp_path / "annulus"
     assert main(["annulus-study", "--config", str(CONFIG_DIR / "annulus_study.cfg"),
@@ -483,6 +501,17 @@ def test_fk_check_overflowing_p_is_unresolved(tmp_path):
     assert not (verdict["converged_before"] and verdict["converged_after"])
 
 
+def test_grid_n_rejects_a_non_square_grid(tmp_path, capsys):
+    # n x n cells over the same box exist only when the grid is square
+    raw = json.loads(MINIMAL_SOLVE)
+    raw["grid"].update(nx=8, ny=4)
+    code, err = _main_stderr(tmp_path, capsys, "solve", raw, "--grid-n", "16")
+    assert code == 1
+    assert err == ["error: ValidationError: --grid-n: needs a square grid, "
+                   "not 8 x 4 cells"]
+    assert not (tmp_path / "out").exists()
+
+
 def test_main_solve_with_overrides(tmp_path):
     path = tmp_path / "c.cfg"
     path.write_text(MINIMAL_SOLVE)
@@ -522,6 +551,20 @@ def test_sweep_svg_two_points():
     assert svg.count("<polyline") == 1
     assert 'fill="none" stroke="black"/>' in svg  # hollow unconverged marker
     assert "shift" in svg and "lambda" in svg
+
+
+def test_sweep_svg_draws_finite_points_only():
+    # a non-finite lambda is left out of the plot and of its axes, so the
+    # rest is drawn as if it were not there
+    inf = float("inf")
+    svg = formats.sweep_to_svg([0.0, 0.5, 1.0, 1.5], [2.0, inf, 3.0, -inf],
+                               [True, False, True, False], "shift")
+    assert "nan" not in svg and "inf" not in svg
+    assert svg == formats.sweep_to_svg([0.0, 1.0], [2.0, 3.0], [True, True],
+                                       "shift")
+    empty = formats.sweep_to_svg([0.0, 1.0], [inf, float("nan")],
+                                 [False, False], "shift")
+    assert 'points=""' in empty and "<circle" not in empty
 
 
 def test_sweep_svg_needs_two_points():

@@ -1,5 +1,6 @@
 """First-eigenpair solver: closed-form oracles, cross-checks, invariances."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -18,14 +19,17 @@ from polarlap.geometry import (
     Rectangle,
     rasterize,
 )
-from polarlap.discretize import triangulate
+from polarlap.discretize import (
+    StencilPattern,
+    hessian_flat,
+    stiffness_matrix,
+    triangulate,
+)
 from polarlap.eigensolve import (
     EigenResult,
     _TwoGrid,
-    _hessian,
     _mass_normalize,
     _smallest_eigenpair,
-    _stencil_stiffness,
     SolverConfig,
     check_weak_form,
     rayleigh,
@@ -38,12 +42,6 @@ from conftest import (
     centered_grid,
     unit_grid,
 )
-
-
-def _stiffness(mesh):
-    # K: the free-cell mask as both triangles' weights
-    c = mesh.free_cells.mask.astype(float)
-    return _stencil_stiffness(mesh, c, c)
 
 
 def _square_mesh(n, bc=DIRICHLET, allow_pn=False):
@@ -184,7 +182,7 @@ def _eigsh_pair(mesh):
     # smallest eigenpair of (stiffness, lumped mass) by ARPACK shift-invert
     import scipy.sparse as sp
     import scipy.sparse.linalg as spla
-    K = _stiffness(mesh)
+    K = stiffness_matrix(mesh)
     m = mesh.mass_w[mesh.free_nodes]
     lam, vec = spla.eigsh(K, k=1, M=sp.diags(m), sigma=0.0, which="LM")
     return float(lam[0]), vec[:, 0]
@@ -349,7 +347,7 @@ def test_nan_residual_fails_every_stage(monkeypatch):
     from polarlap import eigensolve
     hessians = []
     _nan_gradient(monkeypatch)
-    monkeypatch.setattr(eigensolve, "_hessian",
+    monkeypatch.setattr(eigensolve, "hessian_flat",
                         lambda *args: hessians.append(1))
     res = solve(_annulus_mesh(12), SolverConfig(p=1.5, max_outer=40))
     assert res.converged is False
@@ -386,7 +384,7 @@ def _ref_annulus_mesh(n):
 @pytest.fixture(scope="module")
 def ref_stiffness():
     mesh = _ref_annulus_mesh(132)
-    return mesh, _stiffness(mesh)
+    return mesh, stiffness_matrix(mesh)
 
 
 def test_two_grid_symmetric_positive(ref_stiffness, rng):
@@ -464,7 +462,7 @@ def test_stencil_stiffness_equals_triangle_assembly(case, ref_stiffness):
     local = (gx[:, :, None] * gx[:, None, :] +
              gy[:, :, None] * gy[:, None, :]) * mesh.area
     ref = _triangle_assembly(mesh, tri_nodes, local).tocoo()
-    K = _stiffness(mesh)
+    K = stiffness_matrix(mesh)
     assert K.has_canonical_format
     stored = _stored_pattern(K, ref)
     got = np.asarray(K[ref.row, ref.col]).ravel()[stored]
@@ -502,7 +500,7 @@ def test_hessian_equals_triangle_assembly(case, p, ref_stiffness, rng):
                             gy[:, :, None] * gy[:, None, :]) +
         c[:, None, None] * (q[:, :, None] * q[:, None, :]))
     ref = _triangle_assembly(mesh, tri_nodes, local).tocoo()
-    H = _hessian(mesh, flat, p)
+    H = hessian_flat(mesh, flat, p)
     assert H.has_canonical_format
     stored = _stored_pattern(H, ref)
     got = np.asarray(H[ref.row, ref.col]).ravel()[stored]
@@ -510,29 +508,33 @@ def test_hessian_equals_triangle_assembly(case, p, ref_stiffness, rng):
     assert err <= 6 * np.spacing(float(np.abs(ref.data).max()))
 
 
-def _filtered_stencil(M, lower, upper, rank_one=None):
-    # the stencil matrix as it was built before the per-mesh pattern: all 5
-    # (K) or 7 (Hessian) slots of every row gathered per call, then the
-    # exact zeros and the columns past the window's edge dropped
-    from polarlap import eigensolve
-    D, E, N, NE = eigensolve._couplings(M, lower, upper, rank_one)
+def _filtered_stencil(build, M, *args):
+    # the matrix build(M, *args) as it was built before the per-mesh
+    # pattern: all 5 (K) or 7 (Hessian) slots of every row gathered per
+    # call, then the exact zeros and the columns past the window's edge
+    # dropped.  The coupling buffer has rows self, east, north and
+    # north-east, each a node raster after nx + 2 zeros; M's copy gathers
+    # through patterns of every slot inside the window
     nx1 = M.grid.nx + 1
-    lead = M.stencil_lead
-    stencil = [(NE, -nx1 - 1), (N, -nx1), (E, -1), (D, 0), (E, 1), (N, nx1),
-               (NE, nx1 + 1)]
-    if rank_one is None:
-        stencil = stencil[1:-1]
-    offsets = np.array([o for _, o in stencil])
-    g = M.free_nodes + lead
-    data = np.stack([v.take(g + min(o, 0)) for v, o in stencil], axis=1)
-    free_index = np.full(M.n_nodes + 2 * lead, -1, dtype=np.int32)
-    free_index[lead:-lead] = M.free_index
-    cols = free_index[g[:, None] + offsets]
-    kept = (data != 0.0) & (cols >= 0)
-    indptr = np.zeros(M.n_free + 1, dtype=np.int32)
-    np.cumsum(kept.sum(axis=1), out=indptr[1:])
-    return sp.csr_matrix((data[kept], cols[kept], indptr),
-                         shape=(M.n_free, M.n_free))
+    lead = nx1 + 1
+    every = dataclasses.replace(M)
+    stencil = [(3, -nx1 - 1), (2, -nx1), (1, -1), (0, 0), (1, 1), (2, nx1),
+               (3, nx1 + 1)]
+    for name, slots in (("stencil5", stencil[1:-1]), ("stencil7", stencil)):
+        rows, offsets = np.array(slots).T
+        g = M.free_nodes[:, None] + lead
+        free_index = np.full(M.n_nodes + 2 * lead, -1, dtype=np.int32)
+        free_index[lead:-lead] = M.free_index
+        cols = free_index[g + offsets]
+        inside = cols >= 0
+        indptr = np.zeros(M.n_free + 1, dtype=np.int32)
+        np.cumsum(inside.sum(axis=1), out=indptr[1:])
+        gather = rows * (lead + M.n_nodes) + g + np.minimum(offsets, 0)
+        every.__dict__[name] = StencilPattern(gather[inside], cols[inside],
+                                              indptr, None)
+    A = build(every, *args)
+    A.eliminate_zeros()
+    return A
 
 
 @pytest.mark.parametrize("case", _STENCIL_CASES)
@@ -540,25 +542,21 @@ def test_stencil_stiffness_equals_filtered_build(case, ref_stiffness):
     # K's couplings are nonzero on every slot of its pattern, so the
     # pattern build stores the same arrays as the filtered one
     mesh = _stencil_case_mesh(case, ref_stiffness)
-    c = mesh.free_cells.mask.astype(float)
-    K, ref = _stiffness(mesh), _filtered_stencil(mesh, c, c)
+    K, ref = stiffness_matrix(mesh), _filtered_stencil(stiffness_matrix, mesh)
     for name in ("indptr", "indices", "data"):
         assert np.array_equal(getattr(K, name), getattr(ref, name))
 
 
 @pytest.mark.parametrize("p", [1.5, 3.0, 6.0])
 @pytest.mark.parametrize("case", _STENCIL_CASES)
-def test_hessian_equals_filtered_build(case, p, ref_stiffness, rng,
-                                       monkeypatch):
+def test_hessian_equals_filtered_build(case, p, ref_stiffness, rng):
     # the same Hessian entry for entry; the pattern build may also store
     # exact zeros
-    from polarlap import eigensolve
     mesh = _stencil_case_mesh(case, ref_stiffness)
     flat = mesh.embed(rng.random(mesh.n_free) + 0.1)
     flat[mesh.free_nodes[::5]] = 0.0  # flat triangles: zero couplings
-    H = _hessian(mesh, flat, p)
-    monkeypatch.setattr(eigensolve, "_stencil_stiffness", _filtered_stencil)
-    ref = _hessian(mesh, flat, p)
+    H = hessian_flat(mesh, flat, p)
+    ref = _filtered_stencil(hessian_flat, mesh, flat, p)
     assert (H != ref).nnz == 0
     assert H.nnz >= ref.nnz
     if mesh.n_free <= 2000:
@@ -577,7 +575,7 @@ def test_stencil_pattern_is_built_once_per_mesh(rng):
     assert pattern.indices.dtype == pattern.indptr.dtype == np.int32
     flat = mesh.embed(rng.random(mesh.n_free))
     for p in (1.5, 3.0):
-        H = _hessian(mesh, flat, p)
+        H = hessian_flat(mesh, flat, p)
         assert np.shares_memory(H.indices, pattern.indices)
         assert np.shares_memory(H.indptr, pattern.indptr)
         assert np.array_equal(H.indices[pattern.diag],
@@ -593,7 +591,7 @@ def test_p2_solve_builds_no_hessian(monkeypatch):
     def refuse(*args):
         raise AssertionError("p = 2 built a Hessian")
 
-    monkeypatch.setattr(eigensolve, "_hessian", refuse)
+    monkeypatch.setattr(eigensolve, "hessian_flat", refuse)
     assert solve(_annulus_mesh(16), SolverConfig(p=2.0)).converged
 
 
@@ -636,10 +634,9 @@ def test_two_grid_ignores_stored_zeros(case, ref_stiffness, rng):
     # the cycles differed on the square, corners_neumann and 16-cell
     # annulus meshes)
     mesh = _stencil_case_mesh(case, ref_stiffness)
-    c = mesh.free_cells.mask.astype(float)
-    K = _stencil_stiffness(mesh, c, c)
-    zero = np.zeros((2,) + c.shape)
-    Kz = _stencil_stiffness(mesh, c, c, rank_one=(zero, zero, zero))
+    K = stiffness_matrix(mesh)
+    zero = np.zeros((2,) + mesh.grid.shape)
+    Kz = stiffness_matrix(mesh, rank_one=(zero, zero, zero))
     assert Kz.nnz > K.nnz
     assert (Kz != K).nnz == 0
     b = rng.standard_normal(mesh.n_free)
@@ -721,14 +718,14 @@ def test_p3_stiffness_assemblies_are_bounded(monkeypatch, ref_stiffness):
     # minimizer and assembled 41 in 20 outer steps (23 with a Newton
     # finish), and 125 without that start
     from polarlap import eigensolve
-    hessian = eigensolve._hessian
+    hessian = eigensolve.hessian_flat
     calls = []
 
     def counted(*args):
         calls.append(1)
         return hessian(*args)
 
-    monkeypatch.setattr(eigensolve, "_hessian", counted)
+    monkeypatch.setattr(eigensolve, "hessian_flat", counted)
     res = solve(ref_stiffness[0], SolverConfig(p=3.0))
     assert res.converged
     assert len(calls) <= 60
@@ -848,7 +845,7 @@ def test_underflowing_hessian_fails_the_step(monkeypatch):
     # coarse matrix had a sparse LU, and now converges
     # (test_large_p_on_the_ellipse), so the zero is put on every Hessian
     from polarlap import eigensolve
-    hessian = eigensolve._hessian
+    hessian = eigensolve.hessian_flat
     failures = []
 
     def underflowed(M, flat, p):
@@ -865,7 +862,7 @@ def test_underflowing_hessian_fails_the_step(monkeypatch):
             failures.append(1)
             raise
 
-    monkeypatch.setattr(eigensolve, "_hessian", underflowed)
+    monkeypatch.setattr(eigensolve, "hessian_flat", underflowed)
     monkeypatch.setattr(eigensolve._TwoGrid, "_set_matrix", recorded)
     cfg = SolverConfig(p=50.0)
     res = solve(_ellipse_24(), cfg)

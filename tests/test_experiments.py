@@ -305,7 +305,6 @@ def test_rotate_mirrored_axis_direction_matches():
 
     sw = run(1)
     # mirror the whole configuration through the x-axis by hand
-    from polarlap.experiments import _solve_domain
     cfg = SolverConfig(p=2.0)
     outer = rasterize(Disk((0.0, 0.0), 1.0), g)
     hole = rasterize(Disk(a, 0.15625, closed=True), g)
@@ -317,7 +316,7 @@ def test_rotate_mirrored_axis_direction_matches():
         D = PuncturedDomain(outer, (hole, ob), bc_outer=DIRICHLET,
                             bc_inner=DIRICHLET,
                             bc_obstacles=(NEUMANN, DIRICHLET))
-        lams.append(_solve_domain(D, cfg).lam)
+        lams.append(solve(triangulate(D), cfg).lam)
     for la, lb in zip(sw.lambdas, lams):
         assert abs(la - lb) / la < 1e-9
 
