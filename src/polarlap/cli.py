@@ -4,6 +4,11 @@ One scenario per invocation:
 
     polarlap <kind> --config scenario.cfg [--out DIR] [--p P] [--grid-n N]
 
+A config reads into a ScenarioConfig: the grid, the solver and the
+sections its kind needs.  Each scenario section is one of the spec
+dataclasses of experiments, which checks its own rules as it is built and
+is passed whole to its runner.
+
 Exit codes: 0 success, 1 configuration error, 2 violated scenario
 assumption, inadmissible polarizer or a domain left without free nodes,
 3 unconverged solve present in the results, 4 output I/O failure.
@@ -32,28 +37,17 @@ from .errors import (
     OutOfBounds,
     ParseError,
     PolarlapError,
+    SpecError,
     SupportMismatch,
     SymmetryHypothesisViolated,
     ValidationError,
     ZeroFunction,
 )
-from .geometry import (
-    DIRICHLET,
-    NEUMANN,
-    Disk,
-    Ellipse,
-    Grid,
-    Polarizer,
-    PuncturedDomain,
-    Rectangle,
-    Rhombus,
-    ShapeSpec,
-    UnionShape,
-    rasterize,
-    rotated_obstacle,
-)
+from .geometry import Disk, Ellipse, Grid, Polarizer, Rectangle, Rhombus, UnionShape
 from .eigensolve import SolverConfig, solve
 from .discretize import triangulate
+from .experiments import (AnnulusSpec, DomainSpec, RotateSpec, SymmetrySpec,
+                          TranslateSpec)
 from . import experiments as xp
 from . import formats
 
@@ -71,67 +65,6 @@ KINDS = {
 # ---------------------------------------------------------------------------
 # scenario configuration
 # ---------------------------------------------------------------------------
-
-BC = Literal[DIRICHLET, NEUMANN]
-Pair = tuple[float, float]
-
-
-@dataclass(frozen=True)
-class DomainSpec:
-    outer: ShapeSpec
-    obstacles: tuple[ShapeSpec, ...] = ()
-    bc_outer: BC = DIRICHLET
-    bc_inner: BC = DIRICHLET
-    bc_obstacles: Optional[tuple[BC, ...]] = None
-    allow_pure_neumann: bool = False
-
-    def build(self, grid: Grid) -> PuncturedDomain:
-        return PuncturedDomain(
-            rasterize(self.outer, grid),
-            tuple(rasterize(ob, grid) for ob in self.obstacles),
-            bc_outer=self.bc_outer, bc_inner=self.bc_inner,
-            bc_obstacles=self.bc_obstacles,
-            allow_pure_neumann=self.allow_pure_neumann)
-
-
-@dataclass(frozen=True)
-class TranslateSpec:
-    outer: ShapeSpec
-    obstacle: ShapeSpec
-    direction: Pair
-    s_values: tuple[float, ...]
-    bc_outer: BC = DIRICHLET
-    bc_obstacle: BC = DIRICHLET
-    fixed_holes: tuple[ShapeSpec, ...] = ()
-
-
-@dataclass(frozen=True)
-class RotateSpec:
-    variant: str
-    outer: ShapeSpec
-    obstacle: ShapeSpec
-    anchor: Pair
-    axis: Pair
-    s_values: tuple[float, ...]
-    fixed_hole: Optional[ShapeSpec] = None
-
-
-@dataclass(frozen=True)
-class AnnulusSpec:
-    outer_radius: float
-    hole_radius: float
-    eccentricity: float
-    obstacle_radius: float
-    step_cells: int = 1
-    line_offset: Optional[float] = None
-    circles: tuple[Pair, ...] = ()
-
-
-@dataclass(frozen=True)
-class SymmetrySpec:
-    anchor: Pair
-    axis: Pair
-
 
 @dataclass(frozen=True)
 class ScenarioConfig:
@@ -158,9 +91,10 @@ class ScenarioConfig:
 
 # -- JSON <-> dataclass ------------------------------------------------------
 #
-# The dataclasses above (and Grid, SolverConfig, Polarizer and the shapes) are
-# the schema: a JSON key is a field name, a field without a default is
-# required, and the field's annotation picks how its value is read.
+# ScenarioConfig and the dataclasses it holds (the experiments specs, Grid,
+# SolverConfig, Polarizer and the shapes) are the schema: a JSON key is a
+# field name, a field without a default is required, and the field's
+# annotation picks how its value is read.
 
 _SHAPES = {"disk": Disk, "rectangle": Rectangle, "rhombus": Rhombus,
            "ellipse": Ellipse, "union": UnionShape}
@@ -181,10 +115,13 @@ _SCALARS = {
 
 @contextmanager
 def _invalid(where: str):
-    """Report a bad value or type raised in the block against where."""
+    """Report a bad value or type raised in the block against where, or
+    against the field of where that a SpecError names."""
     try:
         yield
     except (ValueError, TypeError, OverflowError) as exc:
+        if isinstance(exc, SpecError):
+            where = f"{where}.{exc.field}"
         raise ValidationError(f"{where}: {exc}", field=where) from exc
 
 
@@ -260,31 +197,7 @@ def parse_config(text: str) -> ScenarioConfig:
         raise ParseError(f"line {exc.lineno}: {exc.msg}", line=exc.lineno) from exc
     except (ValueError, RecursionError) as exc:  # past Python's digit or depth limit
         raise ParseError(str(exc)) from exc
-    cfg = _decode(ScenarioConfig, raw, "config")
-    # rules the runners enforce, checked here so they fail before any solve
-    if (d := cfg.domain) is not None and d.bc_obstacles is not None:
-        with _invalid("domain.bc_obstacles"):
-            _expect(len(d.bc_obstacles) == len(d.obstacles),
-                    f"a list of {len(d.obstacles)}", d.bc_obstacles)
-    if (t := cfg.translate) is not None:
-        with _invalid("translate.direction"):
-            xp.check_unit(t.direction, "translation direction")
-    if (r := cfg.rotate) is not None:
-        with _invalid("rotate.variant"):
-            xp.check_variant(r.variant)
-        with _invalid("rotate.axis"):
-            xp.check_unit(r.axis, "axis direction")
-        with _invalid("rotate.s_values"):
-            for s in r.s_values:
-                rotated_obstacle(r.obstacle, r.anchor, r.axis, s)
-    if (sym := cfg.symmetry) is not None:
-        with _invalid("symmetry.axis"):
-            xp.check_unit(sym.axis, "axis direction")
-    if (a := cfg.annulus) is not None:
-        with _invalid("annulus"):
-            xp.check_annulus(a.outer_radius, a.hole_radius, a.eccentricity,
-                             a.obstacle_radius, a.step_cells)
-    return cfg
+    return _decode(ScenarioConfig, raw, "config")
 
 
 def emit_config(cfg: ScenarioConfig) -> str:
@@ -378,35 +291,23 @@ def _dispatch(cfg: ScenarioConfig, out: Path) -> bool:
         return not (verdict.converged_before and verdict.converged_after)
 
     if kind == "translate-sweep":
-        t = cfg.translate
-        sweep = xp.translate_sweep(t.outer, t.obstacle, t.direction, t.s_values,
-                                   cfg.solver, cfg.grid, t.bc_outer,
-                                   t.bc_obstacle, fixed_holes=t.fixed_holes)
+        sweep = xp.translate_sweep(cfg.translate, cfg.solver, cfg.grid)
         _write_sweep_outputs(out, sweep, sweep, "shift")
         return not all(sweep.converged)
 
     if kind == "rotate-sweep":
-        r = cfg.rotate
-        sweep = xp.rotate_sweep(r.variant, r.outer, r.fixed_hole, r.obstacle,
-                                r.anchor, r.axis, r.s_values, cfg.solver,
-                                cfg.grid)
+        sweep = xp.rotate_sweep(cfg.rotate, cfg.solver, cfg.grid)
         _write_sweep_outputs(out, sweep, sweep, "cos(angle)")
         return not all(sweep.converged)
 
     if kind == "annulus-study":
-        a = cfg.annulus
-        report = xp.annulus_study(a.outer_radius, a.hole_radius,
-                                  a.eccentricity, a.obstacle_radius,
-                                  cfg.solver, cfg.grid, a.step_cells,
-                                  a.line_offset, a.circles or None)
-        sweep = report.axis_sweep
-        _write_sweep_outputs(out, sweep, report, "shift")
-        return not all(sweep.converged)
+        report = xp.annulus_study(cfg.annulus, cfg.solver, cfg.grid)
+        _write_sweep_outputs(out, report.axis_sweep, report, "shift")
+        return not all(report.axis_sweep.converged)
 
     if kind == "symmetry-check":
         D = cfg.domain.build(cfg.grid)
-        sym = cfg.symmetry
-        report = xp.symmetry_check(D, sym.anchor, sym.axis, cfg.solver)
+        report = xp.symmetry_check(D, cfg.symmetry, cfg.solver)
         res = report.result
         _write(out / "result.csv", formats.sweep_to_csv(
             [0.0], [res.lam], [res.converged], [res.outer_iters], [res.residual]))

@@ -75,3 +75,11 @@ class ValidationError(PolarlapError):
     def __init__(self, message, field=None):
         super().__init__(message)
         self.field = field
+
+
+class SpecError(ValueError):
+    """A scenario spec value breaks one of the spec's rules; field names it."""
+
+    def __init__(self, message, field):
+        super().__init__(message)
+        self.field = field

@@ -1,11 +1,19 @@
-"""Scenario runners: assemble punctured domains, solve, and render verdicts
-for the polarization inequality and the obstacle-motion monotonicity checks."""
+"""Scenario specs and runners: assemble punctured domains, solve, and render
+verdicts for the polarization inequality and the obstacle-motion
+monotonicity checks.
+
+Each scenario is one frozen spec dataclass, which is also its config
+section.  A spec checks its own rules when it is built and raises
+ValueError (a SpecError naming the field); a runner takes its spec whole
+and checks only what needs the grid or the rasters.
+"""
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Literal, Optional, Sequence
 
 import numpy as np
 
@@ -15,6 +23,7 @@ from .errors import (
     IncompatiblePolarizer,
     MalformedDomain,
     OutOfBounds,
+    SpecError,
     SymmetryHypothesisViolated,
 )
 from .geometry import (
@@ -59,6 +68,46 @@ def eps_strict(cfg: SolverConfig) -> float:
     return max(1e-4, 3.0 * cfg.outer_tol)
 
 
+def check_unit(v, name: str, field: str) -> None:
+    """Raise SpecError on field unless the direction v has unit length
+    (within 1e-9)."""
+    # written as not (... <= tol) so that NaN and infinite components fail
+    if not abs(float(np.hypot(*np.asarray(v, dtype=float))) - 1.0) <= 1e-9:
+        raise SpecError(f"{name} must be a unit vector", field)
+
+
+# ---------------------------------------------------------------------------
+# scenario domains
+# ---------------------------------------------------------------------------
+
+BC = Literal[DIRICHLET, NEUMANN]
+Pair = tuple[float, float]
+
+
+@dataclass(frozen=True)
+class DomainSpec:
+    outer: ShapeSpec
+    obstacles: tuple[ShapeSpec, ...] = ()
+    bc_outer: BC = DIRICHLET
+    bc_inner: BC = DIRICHLET
+    bc_obstacles: Optional[tuple[BC, ...]] = None
+    allow_pure_neumann: bool = False
+
+    def __post_init__(self):
+        n = len(self.obstacles)
+        if self.bc_obstacles is not None and len(self.bc_obstacles) != n:
+            raise SpecError(f"expected a list of {n}, got "
+                            f"{json.dumps(self.bc_obstacles)}", "bc_obstacles")
+
+    def build(self, grid: Grid) -> PuncturedDomain:
+        return PuncturedDomain(
+            rasterize(self.outer, grid),
+            tuple(rasterize(ob, grid) for ob in self.obstacles),
+            bc_outer=self.bc_outer, bc_inner=self.bc_inner,
+            bc_obstacles=self.bc_obstacles,
+            allow_pure_neumann=self.allow_pure_neumann)
+
+
 # ---------------------------------------------------------------------------
 # sweep results
 # ---------------------------------------------------------------------------
@@ -71,7 +120,8 @@ class SweepResult:
     converged: tuple
     outer_iters: tuple
     residuals: tuple
-    direction: str       # increasing | decreasing | constant | mixed
+    direction: str       # increasing | decreasing | constant | mixed, or
+                         # unresolved below two converged points
     min_margin: float    # smallest |dlambda|/lambda among strict pairs
     notes: tuple
     p_in_strict_range: bool  # p > strict_p_min(): inside the paper's theorem
@@ -83,11 +133,12 @@ def _classify(params, lambdas, converged, eps) -> tuple[str, float]:
     "constant" means the whole sweep stays within the discretization slack
     EPS_DISC_FACTOR; strict directions need every consecutive converged
     pair on the same side, with min_margin the smallest relative step among
-    pairs exceeding the strictness floor eps.
+    pairs exceeding the strictness floor eps.  Fewer than two converged
+    points decide nothing: "unresolved", margin 0.
     """
     lams = [l for l, c in zip(lambdas, converged) if c]
     if len(lams) < 2:
-        return "constant", 0.0
+        return "unresolved", 0.0
     lo, hi = min(lams), max(lams)
     diffs = [(b - a) / max(abs(a), 1e-300) for a, b in zip(lams, lams[1:])]
     strict = [abs(d) for d in diffs if abs(d) > eps]
@@ -184,18 +235,28 @@ def fk_check(D: PuncturedDomain, H: Polarizer, cfg: SolverConfig) -> FkVerdict:
 # ---------------------------------------------------------------------------
 
 
-def check_unit(v, name: str) -> None:
-    """Raise ValueError unless the direction v has unit length (within 1e-9)."""
-    # written as not (... <= tol) so that NaN and infinite components fail
-    if not abs(float(np.hypot(*np.asarray(v, dtype=float))) - 1.0) <= 1e-9:
-        raise ValueError(f"{name} must be a unit vector")
+def _check_nondecreasing(s_values) -> None:
+    if any(s > t for s, t in zip(s_values, s_values[1:])):
+        raise AssumptionViolated("s_values must be nondecreasing")
 
 
-def translate_sweep(outer_shape: ShapeSpec, obstacle_shape: ShapeSpec, h,
-                    s_values: Sequence[float], cfg: SolverConfig, grid: Grid,
-                    bc_outer: str = DIRICHLET, bc_obstacle: str = DIRICHLET,
-                    fixed_holes: Sequence[ShapeSpec] = ()) -> SweepResult:
-    """First eigenvalue along obstacle translations s * h.
+@dataclass(frozen=True)
+class TranslateSpec:
+    outer: ShapeSpec
+    obstacle: ShapeSpec
+    direction: Pair
+    s_values: tuple[float, ...]
+    bc_outer: BC = DIRICHLET
+    bc_obstacle: BC = DIRICHLET
+    fixed_holes: tuple[ShapeSpec, ...] = ()
+
+    def __post_init__(self):
+        check_unit(self.direction, "translation direction", "direction")
+
+
+def translate_sweep(spec: TranslateSpec, cfg: SolverConfig, grid: Grid
+                    ) -> SweepResult:
+    """First eigenvalue along obstacle translations s * direction.
 
     The fixed domain is the outer shape minus the optional Dirichlet fixed
     holes (it may be multiply connected, like an annulus).  It must be
@@ -203,11 +264,11 @@ def translate_sweep(outer_shape: ShapeSpec, obstacle_shape: ShapeSpec, h,
     symmetric about it; offsets whose invariance or containment fails are
     dropped with a note.
     """
-    check_unit(h, "translation direction")
-    h = np.asarray(h, dtype=float)
+    h = np.asarray(spec.direction, dtype=float)
+    s_values = spec.s_values
     axis, _ = normal_axis(h)
-    outer = rasterize(outer_shape, grid)
-    holes = tuple(rasterize(sp, grid) for sp in fixed_holes)
+    outer = rasterize(spec.outer, grid)
+    holes = tuple(rasterize(sp, grid) for sp in spec.fixed_holes)
     domain_fixed = outer
     for hole in holes:
         domain_fixed = domain_fixed.minus(hole)
@@ -216,8 +277,7 @@ def translate_sweep(outer_shape: ShapeSpec, obstacle_shape: ShapeSpec, h,
         raise AssumptionViolated(
             "fixed domain is not polarization-invariant about the start line "
             "(outer-invariance hypothesis)")
-    ob0 = rasterize(obstacle_shape, grid)
-    if not is_steiner_symmetric(ob0, axis, 0.0):
+    if not is_steiner_symmetric(rasterize(spec.obstacle, grid), axis, 0.0):
         raise AssumptionViolated(
             "obstacle is not Steiner symmetric about the start line "
             "(obstacle-symmetry hypothesis)")
@@ -227,8 +287,7 @@ def translate_sweep(outer_shape: ShapeSpec, obstacle_shape: ShapeSpec, h,
             if abs(comp / d - round(comp / d)) > 1e-9:
                 raise AssumptionViolated(
                     f"shift {s} * h is not a whole number of cells")
-    if any(s_values[i] > s_values[i + 1] for i in range(len(s_values) - 1)):
-        raise AssumptionViolated("s_values must be nondecreasing")
+    _check_nondecreasing(s_values)
 
     notes = []
     sigma0 = RasterSet(grid, domain_fixed.mask & Reflection.of(H0, grid).beyond)
@@ -254,11 +313,11 @@ def translate_sweep(outer_shape: ShapeSpec, obstacle_shape: ShapeSpec, h,
                          "dropped")
             continue
         try:
-            ob_s = rasterize(translated_obstacle(obstacle_shape, h, s), grid)
-            D = PuncturedDomain(outer, holes + (ob_s,), bc_outer=bc_outer,
+            ob_s = rasterize(translated_obstacle(spec.obstacle, h, s), grid)
+            D = PuncturedDomain(outer, holes + (ob_s,), bc_outer=spec.bc_outer,
                                 bc_inner=DIRICHLET,
                                 bc_obstacles=(DIRICHLET,) * len(holes)
-                                + (bc_obstacle,))
+                                + (spec.bc_obstacle,))
         except (MalformedDomain, OutOfBounds) as exc:
             notes.append(f"s={s:g}: obstacle not admissible ({exc}); dropped")
             continue
@@ -277,53 +336,64 @@ NEUMANN_INNER = "neumann-inner"   # fixed Neumann ball hole at the anchor
 NEUMANN_OUTER = "neumann-outer"   # Neumann outer ball about the anchor
 
 
-def check_variant(variant: str) -> None:
-    """Raise ValueError unless variant names a rotation-sweep variant."""
-    if variant not in (NEUMANN_INNER, NEUMANN_OUTER):
-        raise ValueError(f"unknown variant {variant!r}")
+@dataclass(frozen=True)
+class RotateSpec:
+    variant: str
+    outer: ShapeSpec
+    obstacle: ShapeSpec
+    anchor: Pair
+    axis: Pair
+    s_values: tuple[float, ...]
+    fixed_hole: Optional[ShapeSpec] = None
+
+    def __post_init__(self):
+        if self.variant not in (NEUMANN_INNER, NEUMANN_OUTER):
+            raise SpecError(f"unknown variant {self.variant!r}", "variant")
+        check_unit(self.axis, "axis direction", "axis")
+        for s in self.s_values:
+            try:
+                rotated_obstacle(self.obstacle, self.anchor, s)
+            except ValueError as exc:
+                raise SpecError(str(exc), "s_values") from exc
 
 
-def rotate_sweep(variant: str, outer_shape: ShapeSpec,
-                 fixed_hole: Optional[ShapeSpec], obstacle_shape: ShapeSpec,
-                 a, eta, s_values: Sequence[float], cfg: SolverConfig,
-                 grid: Grid) -> SweepResult:
+def rotate_sweep(spec: RotateSpec, cfg: SolverConfig, grid: Grid
+                 ) -> SweepResult:
     """First eigenvalue along obstacle rotations about the anchor a.
 
     The fixed domain and the obstacle (reference pose) must be foliated
-    Schwarz symmetric about a + R+ eta, checked over the grid-compatible
+    Schwarz symmetric about a + R+ axis, checked over the grid-compatible
     anchored pool.  Rotated poses that leave the domain are dropped with a
     note.
     """
-    a = np.asarray(a, dtype=float)
-    check_unit(eta, "axis direction")
-    check_variant(variant)
-    eta = np.asarray(eta, dtype=float)
+    variant, fixed_hole = spec.variant, spec.fixed_hole
+    a = np.asarray(spec.anchor, dtype=float)
+    eta = np.asarray(spec.axis, dtype=float)
 
     def off_anchor(shape) -> bool:
         return not isinstance(shape, Disk) or math.hypot(
             shape.center[0] - a[0], shape.center[1] - a[1]) > 1e-12
 
-    if variant == NEUMANN_OUTER and off_anchor(outer_shape):
+    if variant == NEUMANN_OUTER and off_anchor(spec.outer):
         raise AssumptionViolated(
             "Neumann-outer variant needs a disk outer set centered at the anchor")
     if variant == NEUMANN_INNER and fixed_hole is not None and off_anchor(fixed_hole):
         raise AssumptionViolated(
             "Neumann-inner variant needs a disk hole centered at the anchor")
-    if any(s_values[i] > s_values[i + 1] for i in range(len(s_values) - 1)):
-        raise AssumptionViolated("s_values must be nondecreasing")
+    _check_nondecreasing(spec.s_values)
 
     pool = fss_polarizer_pool(a, eta, grid)
     if not pool:
         raise AssumptionViolated(
             "no grid-compatible polarizers anchored at the rotation center; "
             "align the anchor with the grid nodes")
-    outer = rasterize(outer_shape, grid)
+    outer = rasterize(spec.outer, grid)
     fixed = rasterize(fixed_hole, grid) if fixed_hole is not None else None
     domain_fixed = outer if fixed is None else outer.minus(fixed)
     if not is_foliated_schwarz(domain_fixed, a, eta, pool):
         raise AssumptionViolated(
             "fixed domain is not foliated Schwarz symmetric about the anchor ray")
-    if not is_foliated_schwarz(rasterize(obstacle_shape, grid), a, eta, pool):
+    if not is_foliated_schwarz(rasterize(spec.obstacle, grid), a, eta, pool):
         raise AssumptionViolated(
             "obstacle reference pose is not foliated Schwarz symmetric about "
             "the anchor ray")
@@ -331,9 +401,9 @@ def rotate_sweep(variant: str, outer_shape: ShapeSpec,
     bc_outer = NEUMANN if variant == NEUMANN_OUTER else DIRICHLET
     fixed_bc = NEUMANN if variant == NEUMANN_INNER else DIRICHLET
     notes, kept, results = [], [], []
-    for s in s_values:
+    for s in spec.s_values:
         try:
-            ob_s = rasterize(rotated_obstacle(obstacle_shape, a, eta, s), grid)
+            ob_s = rasterize(rotated_obstacle(spec.obstacle, a, s), grid)
             obstacles = (fixed, ob_s) if fixed is not None else (ob_s,)
             bcs = (fixed_bc, DIRICHLET) if fixed is not None else (DIRICHLET,)
             D = PuncturedDomain(outer, obstacles, bc_outer=bc_outer,
@@ -394,29 +464,42 @@ def _feasible_obstacle(outer, hole, grid, center, rho):
         return None
 
 
-def check_annulus(R: float, r: float, alpha: float, rho: float,
-                  step_cells: int) -> None:
-    """Raise ValueError unless the hole and the obstacle fit the annulus and
-    the placements are sampled at least one cell apart."""
-    if not (0 < r < R and 0 <= alpha < R - r and rho > 0):
-        raise ValueError("need 0 < r < R, 0 <= alpha < R - r, rho > 0")
-    if step_cells < 1:
-        raise ValueError(f"step_cells must be at least 1, got {step_cells}")
+@dataclass(frozen=True)
+class AnnulusSpec:
+    outer_radius: float
+    hole_radius: float
+    eccentricity: float
+    obstacle_radius: float
+    step_cells: int = 1
+    line_offset: Optional[float] = None
+    circles: tuple[Pair, ...] = ()
+
+    def __post_init__(self):
+        # the hole and the obstacle fit the annulus, and the placements are
+        # sampled at least one cell apart
+        R, r, rho = self.outer_radius, self.hole_radius, self.obstacle_radius
+        if not (0 < r < R and 0 <= self.eccentricity < R - r and rho > 0):
+            raise ValueError("need 0 < r < R, 0 <= alpha < R - r, rho > 0")
+        if self.step_cells < 1:
+            raise ValueError(
+                f"step_cells must be at least 1, got {self.step_cells}")
 
 
-def annulus_study(R: float, r: float, alpha: float, rho: float,
-                  cfg: SolverConfig, grid: Grid,
-                  step_cells: int = 1, line_offset: Optional[float] = None,
-                  circle_specs: Optional[Sequence[tuple]] = None) -> AnnulusStudyReport:
+def annulus_study(spec: AnnulusSpec, cfg: SolverConfig, grid: Grid
+                  ) -> AnnulusStudyReport:
     """Obstacle-placement study in the eccentric annulus B_R(0) minus a
     closed ball of radius r at (-alpha, 0), all-Dirichlet, with a disk
     obstacle of radius rho.
 
     Produces the axis sweep lambda(s, 0) with segment verdicts, an optional
-    parallel-line sweep for the increasing-through-center claim, same-circle
-    ordering checks, and a unimodality report for the right branch.
+    parallel-line sweep at height line_offset for the
+    increasing-through-center claim, same-circle ordering checks (two
+    built-in circles when circles is empty), and a unimodality report for
+    the right branch.
     """
-    check_annulus(R, r, alpha, rho, step_cells)
+    R, r = spec.outer_radius, spec.hole_radius
+    alpha, rho = spec.eccentricity, spec.obstacle_radius
+    step_cells = spec.step_cells
     d = grid.spacing
     outer = rasterize(Disk((0.0, 0.0), R), grid)
     hole = rasterize(Disk((-alpha, 0.0), r, closed=True), grid)
@@ -460,8 +543,8 @@ def annulus_study(R: float, r: float, alpha: float, rho: float,
     right = segment(r_bar, R, "right-decreasing")
 
     offaxis = None
-    if line_offset is not None:
-        off_params, off_results, off_dropped = sweep_line(float(line_offset),
+    if spec.line_offset is not None:
+        off_params, off_results, off_dropped = sweep_line(spec.line_offset,
                                                           -alpha, 0.0)
         if len(off_params) >= 2:
             offaxis = build_sweep(off_params, off_results, cfg)
@@ -485,9 +568,7 @@ def annulus_study(R: float, r: float, alpha: float, rho: float,
     unimodal = n_max == 1 and argmax_interior
 
     circle_checks = []
-    if circle_specs is None:
-        circle_specs = ((0.0, 0.5), (-alpha, 0.45))
-    for (t, beta) in circle_specs:
+    for (t, beta) in spec.circles or ((0.0, 0.5), (-alpha, 0.45)):
         angles = (0.5 * math.pi, math.pi / 3.0, math.pi / 6.0, 0.0)
         pts = [(t + beta * math.cos(phi), beta * math.sin(phi)) for phi in angles]
         svals, lams, convs = [], [], []
@@ -537,13 +618,21 @@ class SymmetryReport:
                 "max_defect": self.max_defect}
 
 
-def symmetry_check(D: PuncturedDomain, a, eta, cfg: SolverConfig
+@dataclass(frozen=True)
+class SymmetrySpec:
+    anchor: Pair
+    axis: Pair
+
+    def __post_init__(self):
+        check_unit(self.axis, "axis direction", "axis")
+
+
+def symmetry_check(D: PuncturedDomain, spec: SymmetrySpec, cfg: SolverConfig
                    ) -> SymmetryReport:
     """Solve on D and measure how far the eigenfunction is from its own
-    polarization over the anchored polarizer pool."""
-    check_unit(eta, "axis direction")
-    a = np.asarray(a, dtype=float)
-    eta = np.asarray(eta, dtype=float)
+    polarization over the polarizer pool anchored at the spec's ray."""
+    a = np.asarray(spec.anchor, dtype=float)
+    eta = np.asarray(spec.axis, dtype=float)
     pool = fss_polarizer_pool(a, eta, D.grid)
     if not pool:
         raise AssumptionViolated(

@@ -266,9 +266,9 @@ class Reflection:
     shift) or j = i + c, the diagonal kinds after a transpose, so the sites
     whose image stays in the window form one rectangle, valid, and gather
     is one slice copy into it.  coord is the reduced linear functional and
-    in_h / on_line / beyond split the sites by side of the line; all four
-    are read-only full-grid views of 1-D vectors over the lines of the
-    kind, built on first use.
+    in_h / beyond split the sites off the line by side; all three are
+    read-only full-grid views of 1-D vectors over the lines of the kind,
+    built on first use.
     """
 
     def __init__(self, red: _Reduced, grid: Grid, nodes: bool = False):
@@ -327,10 +327,6 @@ class Reflection:
     @cached_property
     def beyond(self) -> np.ndarray:
         return self._side(np.less if self._red.greater else np.greater)
-
-    @cached_property
-    def on_line(self) -> np.ndarray:
-        return self._side(np.equal)
 
     @cached_property
     def valid(self) -> np.ndarray:
@@ -762,10 +758,9 @@ def translated_obstacle(shape: ShapeSpec, h, s: float) -> ShapeSpec:
     return shift(shape)
 
 
-def rotated_obstacle(shape: ShapeSpec, a, eta, s: float) -> ShapeSpec:
-    """Shape conjugated by the in-plane rotation about a with angle acos(s).
+def rotated_obstacle(shape: ShapeSpec, a, s: float) -> ShapeSpec:
+    """Shape turned counter-clockwise about a by the angle acos(s).
 
-    The rotation turns counter-clockwise starting from the direction eta.
     Disks and ellipses transform exactly; rectangles and rhombi are only
     accepted at the identity rotation (s = 1).
     """

@@ -52,6 +52,10 @@ from polarlap.discretize import (
 )
 from polarlap.eigensolve import SolverConfig, solve
 from polarlap.experiments import (
+    AnnulusSpec,
+    RotateSpec,
+    SymmetrySpec,
+    TranslateSpec,
     annulus_study,
     fk_check,
     rotate_sweep,
@@ -367,13 +371,14 @@ def test_criterion_06_translation_monotonicity():
     t0 = time.time()
     g = _grid64()
     d = g.spacing
-    svals = [0.0, 4 * d, 8 * d, 12 * d, 16 * d]
+    svals = (0.0, 4 * d, 8 * d, 12 * d, 16 * d)
     details = []
     ok = True
     for p in (2.0, 3.0):
-        sw = translate_sweep(Disk((0.0, 0.0), 1.0),
-                             Disk((0.0, 0.0), 0.3, closed=True),
-                             (1.0, 0.0), svals, SolverConfig(p=p), g)
+        sw = translate_sweep(TranslateSpec(Disk((0.0, 0.0), 1.0),
+                                           Disk((0.0, 0.0), 0.3, closed=True),
+                                           (1.0, 0.0), svals),
+                             SolverConfig(p=p), g)
         drops = [(a - b) / a for a, b in zip(sw.lambdas, sw.lambdas[1:])]
         ok &= sw.direction == "decreasing" and len(sw.params) == 5
         ok &= all(dr > 1e-4 for dr in drops)
@@ -390,26 +395,28 @@ def test_criterion_07_rotation_monotonicity():
     t0 = time.time()
     g = _grid64()
     eta = (1.0, 0.0)
-    svals = [math.cos(2 * math.pi / 3), 0.0, math.cos(math.pi / 3),
-             math.cos(math.pi / 6), 1.0]
+    svals = (math.cos(2 * math.pi / 3), 0.0, math.cos(math.pi / 3),
+             math.cos(math.pi / 6), 1.0)
     a = (-0.25, 0.0)
     details = []
     ok = True
     for p in (2.0, 3.0):
-        sw = rotate_sweep("neumann-inner", Disk((0.0, 0.0), 1.0),
-                          Disk(a, 0.15625, closed=True),
-                          Disk((0.25, 0.0), 0.15625, closed=True),
-                          a, eta, svals, SolverConfig(p=p), g)
+        sw = rotate_sweep(RotateSpec("neumann-inner", Disk((0.0, 0.0), 1.0),
+                                     Disk((0.25, 0.0), 0.15625, closed=True),
+                                     a, eta, svals,
+                                     fixed_hole=Disk(a, 0.15625, closed=True)),
+                          SolverConfig(p=p), g)
         diffs = [(b - a_) / a_ for a_, b in zip(sw.lambdas, sw.lambdas[1:])]
         ok &= sw.direction == "increasing" and len(sw.params) == 5
         ok &= all(df > 1e-4 for df in diffs)
         details.append(f"p={p:g}: min rise {min(diffs):.2e}")
     a0 = (0.0, 0.0)
     for p in (2.0, 3.0):
-        sw = rotate_sweep("neumann-inner", Disk(a0, 1.0),
-                          Disk(a0, 0.15625, closed=True),
-                          Disk((0.5, 0.0), 0.15625, closed=True),
-                          a0, eta, svals, SolverConfig(p=p), g)
+        sw = rotate_sweep(RotateSpec("neumann-inner", Disk(a0, 1.0),
+                                     Disk((0.5, 0.0), 0.15625, closed=True),
+                                     a0, eta, svals,
+                                     fixed_hole=Disk(a0, 0.15625, closed=True)),
+                          SolverConfig(p=p), g)
         spread = (max(sw.lambdas) - min(sw.lambdas)) / min(sw.lambdas)
         ok &= spread <= 1e-3 and sw.direction == "constant"
         details.append(f"radial p={p:g}: spread {spread:.1e}")
@@ -431,7 +438,7 @@ def test_criterion_08_eigenfunction_symmetry():
     for bc_inner in (DIRICHLET, NEUMANN):
         D = PuncturedDomain(outer, (hole,), bc_outer=DIRICHLET,
                             bc_inner=bc_inner)
-        rep = symmetry_check(D, (-0.25, 0.0), (1.0, 0.0),
+        rep = symmetry_check(D, SymmetrySpec((-0.25, 0.0), (1.0, 0.0)),
                              SolverConfig(p=2.0))
         ok &= rep.max_defect <= 1e-3 and rep.converged
         details.append(f"{bc_inner}-hole defect {rep.max_defect:.1e} "
@@ -447,8 +454,8 @@ def test_criterion_08_eigenfunction_symmetry():
 def test_criterion_09_annulus_study():
     t0 = time.time()
     g = _grid64()
-    rep = annulus_study(1.0, 0.2, 0.25, 0.1, SolverConfig(p=2.0), g,
-                        step_cells=1, line_offset=0.4375)
+    rep = annulus_study(AnnulusSpec(1.0, 0.2, 0.25, 0.1, step_cells=1,
+                                    line_offset=0.4375), SolverConfig(p=2.0), g)
     # the on-axis [-alpha, 0] segment is empty for these parameters (the
     # obstacle cannot clear the hole there); the study records that, and
     # the increasing claims are certified on the nonempty segments

@@ -2,7 +2,7 @@
 
 import json
 import time
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -15,9 +15,10 @@ from polarlap.cli import (
     parse_config,
     run,
 )
+from polarlap import cli
 from polarlap import experiments as xp
 from polarlap import formats
-from polarlap.geometry import Grid, RasterSet
+from polarlap.geometry import Grid, RasterSet, Rectangle
 from polarlap.rearrange import GridFunction
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -432,6 +433,54 @@ def test_main_malformed_value_one_line_error(tmp_path, capsys, base, path,
     assert err[0].startswith("error: ValidationError: ")
     assert field in err[0]
     assert not (tmp_path / "out").exists()  # rejected before any run
+
+
+@pytest.mark.parametrize("base, section, changes", [
+    ("translate", "translate", {"direction": (1.0, 1.0)}),
+    ("solve", "domain", {"bc_obstacles": ("dirichlet", "neumann")}),
+    ("annulus", "annulus", {"step_cells": 0}),
+    ("annulus", "annulus", {"step_cells": -1}),
+    ("annulus", "annulus", {"eccentricity": 0.9}),
+    ("rotate", "rotate", {"axis": (0.0, 2.0)}),
+    ("rotate", "rotate", {"variant": "bogus"}),
+    ("rotate", "rotate", {"s_values": (1.5,)}),
+    ("rotate", "rotate", {"obstacle": Rectangle((0.4, -0.1), (0.6, 0.1),
+                                                closed=True)}),
+    ("symmetry", "symmetry", {"axis": (5.0, 0.0)}),
+    ("symmetry", "symmetry", {"axis": (0.0, 0.0)}),
+])
+def test_specs_reject_what_the_cli_rejects(base, section, changes):
+    # a library caller building the spec gets the ValueError that the CLI
+    # reports as a config error
+    spec = getattr(parse_config(MALFORMED_BASES[base]), section)
+    with pytest.raises(ValueError) as info:
+        replace(spec, **changes)
+    assert not isinstance(info.value, ValidationError)
+
+
+def test_one_solve_per_result_row_through_module_globals(tmp_path, monkeypatch):
+    # perfbench times every solve by wrapping the module globals cli.solve
+    # and experiments.solve; a solve reached some other way would go
+    # untimed, and a missing global would stop its runs
+    calls = []
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            calls.append(fn)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for module in (cli, xp):
+        monkeypatch.setattr(module, "solve", counted(module.solve))
+    for kind, text in (("solve", MINIMAL_SOLVE),
+                       ("translate-sweep", COARSE_TRANSLATE)):
+        calls.clear()
+        path = tmp_path / f"{kind}.cfg"
+        path.write_text(text)
+        out = tmp_path / kind
+        assert main([kind, "--config", str(path), "--out", str(out)]) == 0
+        rows = (out / "result.csv").read_text().splitlines()[1:]
+        assert len(calls) == len(rows) > 0
 
 
 def test_main_no_free_nodes_exit_2(tmp_path, capsys):

@@ -27,6 +27,10 @@ from polarlap.geometry import (
 from polarlap.discretize import triangulate
 from polarlap.eigensolve import SolverConfig, solve
 from polarlap.experiments import (
+    AnnulusSpec,
+    RotateSpec,
+    SymmetrySpec,
+    TranslateSpec,
     annulus_study,
     build_sweep,
     check_unit,
@@ -155,9 +159,9 @@ def test_fk_inadmissible_polarizer():
 def test_translate_disk_decreasing():
     g = _grid(n=64, half=0.625)
     d = g.spacing
-    sw = translate_sweep(Disk((0.0, 0.0), 0.5), Disk((0.0, 0.0), 0.15, closed=True),
-                         (1.0, 0.0), [0.0, 2 * d, 4 * d, 6 * d],
-                         SolverConfig(p=2.0), g)
+    sw = translate_sweep(TranslateSpec(
+        Disk((0.0, 0.0), 0.5), Disk((0.0, 0.0), 0.15, closed=True),
+        (1.0, 0.0), (0.0, 2 * d, 4 * d, 6 * d)), SolverConfig(p=2.0), g)
     assert sw.direction == "decreasing"
     assert sw.min_margin > 1e-4
 
@@ -165,11 +169,10 @@ def test_translate_disk_decreasing():
 def test_translate_mirror_sweeps_match():
     g = _grid(n=64, half=0.625)
     d = g.spacing
-    svals = [0.0, 2 * d, 4 * d]
-    a = translate_sweep(Disk((0.0, 0.0), 0.5), Disk((0.0, 0.0), 0.15, closed=True),
-                        (1.0, 0.0), svals, SolverConfig(p=2.0), g)
-    b = translate_sweep(Disk((0.0, 0.0), 0.5), Disk((0.0, 0.0), 0.15, closed=True),
-                        (-1.0, 0.0), svals, SolverConfig(p=2.0), g)
+    svals = (0.0, 2 * d, 4 * d)
+    a, b = (translate_sweep(TranslateSpec(
+        Disk((0.0, 0.0), 0.5), Disk((0.0, 0.0), 0.15, closed=True), h, svals),
+        SolverConfig(p=2.0), g) for h in ((1.0, 0.0), (-1.0, 0.0)))
     for la, lb in zip(a.lambdas, b.lambdas):
         assert abs(la - lb) / la < 1e-9
 
@@ -180,7 +183,7 @@ def test_translate_composite_domain_decreasing():
     d = g.spacing
     outer = UnionShape((Disk((0.0, 0.0), 0.75), Rhombus((0.0, 0.0), 0.25)))
     ob = Rhombus((0.0, 0.0), 0.0625, closed=True)
-    sw = translate_sweep(outer, ob, (1.0, 0.0), [0.0, 4 * d, 8 * d],
+    sw = translate_sweep(TranslateSpec(outer, ob, (1.0, 0.0), (0.0, 4 * d, 8 * d)),
                          SolverConfig(p=2.0), g)
     assert sw.direction == "decreasing"
     assert sw.min_margin > 1e-4
@@ -189,9 +192,9 @@ def test_translate_composite_domain_decreasing():
 def test_translate_infeasible_offsets_dropped():
     g = _grid(n=48, half=0.75)
     d = g.spacing
-    sw = translate_sweep(Disk((0.0, 0.0), 0.5), Disk((0.0, 0.0), 0.15, closed=True),
-                         (1.0, 0.0), [0.0, 4 * d, 30 * d],
-                         SolverConfig(p=2.0), g)
+    sw = translate_sweep(TranslateSpec(
+        Disk((0.0, 0.0), 0.5), Disk((0.0, 0.0), 0.15, closed=True),
+        (1.0, 0.0), (0.0, 4 * d, 30 * d)), SolverConfig(p=2.0), g)
     assert len(sw.params) == 2
     assert any("dropped" in note for note in sw.notes)
 
@@ -201,17 +204,19 @@ def test_translate_assumption_violations():
     d = g.spacing
     # outer not symmetric about the start line
     with pytest.raises(AssumptionViolated):
-        translate_sweep(Disk((0.2, 0.0), 0.5), Disk((0.0, 0.0), 0.1, closed=True),
-                        (1.0, 0.0), [0.0, 2 * d], SolverConfig(p=2.0), g)
+        translate_sweep(TranslateSpec(
+            Disk((0.2, 0.0), 0.5), Disk((0.0, 0.0), 0.1, closed=True),
+            (1.0, 0.0), (0.0, 2 * d)), SolverConfig(p=2.0), g)
     # obstacle not Steiner symmetric about the start line
     with pytest.raises(AssumptionViolated):
-        translate_sweep(Disk((0.0, 0.0), 0.5),
-                        Disk((4 * d, 0.0), 0.1, closed=True),
-                        (1.0, 0.0), [0.0, 2 * d], SolverConfig(p=2.0), g)
+        translate_sweep(TranslateSpec(
+            Disk((0.0, 0.0), 0.5), Disk((4 * d, 0.0), 0.1, closed=True),
+            (1.0, 0.0), (0.0, 2 * d)), SolverConfig(p=2.0), g)
     # shift not grid-exact
     with pytest.raises(AssumptionViolated):
-        translate_sweep(Disk((0.0, 0.0), 0.5), Disk((0.0, 0.0), 0.1, closed=True),
-                        (1.0, 0.0), [0.0, 1.37 * d], SolverConfig(p=2.0), g)
+        translate_sweep(TranslateSpec(
+            Disk((0.0, 0.0), 0.5), Disk((0.0, 0.0), 0.1, closed=True),
+            (1.0, 0.0), (0.0, 1.37 * d)), SolverConfig(p=2.0), g)
 
 
 def test_non_finite_directions_rejected():
@@ -220,7 +225,7 @@ def test_non_finite_directions_rejected():
     nan, inf = math.nan, math.inf
     for v in ((nan, 0.0), (0.0, nan), (inf, 0.0), (inf, nan)):
         with pytest.raises(ValueError):
-            check_unit(v, "translation direction")
+            check_unit(v, "translation direction", "direction")
         with pytest.raises(ValueError):
             Polarizer(v, 0.0)
         with pytest.raises(ValueError):
@@ -242,10 +247,11 @@ def test_rotate_eccentric_increasing():
     g = _rotate_grid()
     a = (-0.25, 0.0)
     svals = [math.cos(2 * math.pi / 3), 0.0, math.cos(math.pi / 3), 1.0]
-    sw = rotate_sweep("neumann-inner", Disk((0.0, 0.0), 1.0),
-                      Disk(a, 0.15625, closed=True),
-                      Disk((0.25, 0.0), 0.15625, closed=True),
-                      a, (1.0, 0.0), svals, SolverConfig(p=2.0), g)
+    sw = rotate_sweep(RotateSpec("neumann-inner", Disk((0.0, 0.0), 1.0),
+                                 Disk((0.25, 0.0), 0.15625, closed=True),
+                                 a, (1.0, 0.0), tuple(svals),
+                                 fixed_hole=Disk(a, 0.15625, closed=True)),
+                      SolverConfig(p=2.0), g)
     assert sw.direction == "increasing"
     assert sw.min_margin > 1e-4
 
@@ -256,10 +262,11 @@ def test_rotate_radial_control_constant():
     g = _rotate_grid()
     a = (0.0, 0.0)
     svals = [math.cos(2 * math.pi / 3), 0.0, math.cos(math.pi / 3), 1.0]
-    sw = rotate_sweep("neumann-inner", Disk(a, 1.0),
-                      Disk(a, 0.15625, closed=True),
-                      Disk((0.5, 0.0), 0.21875, closed=True),
-                      a, (1.0, 0.0), svals, SolverConfig(p=2.0), g)
+    sw = rotate_sweep(RotateSpec("neumann-inner", Disk(a, 1.0),
+                                 Disk((0.5, 0.0), 0.21875, closed=True),
+                                 a, (1.0, 0.0), tuple(svals),
+                                 fixed_hole=Disk(a, 0.15625, closed=True)),
+                      SolverConfig(p=2.0), g)
     spread = (max(sw.lambdas) - min(sw.lambdas)) / min(sw.lambdas)
     assert spread <= 1e-3
     assert any("radial" in n for n in sw.notes)
@@ -268,10 +275,11 @@ def test_rotate_radial_control_constant():
 def test_rotate_repeated_s_constant():
     g = _rotate_grid()
     a = (-0.25, 0.0)
-    sw = rotate_sweep("neumann-inner", Disk((0.0, 0.0), 1.0),
-                      Disk(a, 0.15625, closed=True),
-                      Disk((0.25, 0.0), 0.15625, closed=True),
-                      a, (1.0, 0.0), [0.5, 0.5], SolverConfig(p=2.0), g)
+    sw = rotate_sweep(RotateSpec("neumann-inner", Disk((0.0, 0.0), 1.0),
+                                 Disk((0.25, 0.0), 0.15625, closed=True),
+                                 a, (1.0, 0.0), (0.5, 0.5),
+                                 fixed_hole=Disk(a, 0.15625, closed=True)),
+                      SolverConfig(p=2.0), g)
     assert sw.direction == "constant"
     assert sw.min_margin == 0.0
 
@@ -280,9 +288,10 @@ def test_rotate_neumann_outer_variant():
     g = _rotate_grid()
     a = (0.0, 0.0)
     svals = [0.0, math.cos(math.pi / 3), 1.0]
-    sw = rotate_sweep("neumann-outer", Disk(a, 1.0), None,
-                      Disk((0.5, 0.0), 0.21875, closed=True),
-                      a, (1.0, 0.0), svals, SolverConfig(p=2.0), g)
+    sw = rotate_sweep(RotateSpec("neumann-outer", Disk(a, 1.0),
+                                 Disk((0.5, 0.0), 0.21875, closed=True),
+                                 a, (1.0, 0.0), tuple(svals)),
+                      SolverConfig(p=2.0), g)
     # radial outer ball: the eigenvalue stays constant along rotations
     spread = (max(sw.lambdas) - min(sw.lambdas)) / min(sw.lambdas)
     assert spread <= 1e-3
@@ -296,12 +305,11 @@ def test_rotate_mirrored_axis_direction_matches():
     svals = [0.0, math.cos(math.pi / 3), 1.0]
 
     def run(signed_y):
-        return rotate_sweep("neumann-inner", Disk((0.0, 0.0), 1.0),
-                            Disk(a, 0.15625, closed=True),
-                            Disk((0.25, 0.0), 0.15625, closed=True),
-                            a, (1.0, 0.0),
-                            [s for s in svals], SolverConfig(p=2.0),
-                            g) if signed_y > 0 else None
+        return rotate_sweep(RotateSpec(
+            "neumann-inner", Disk((0.0, 0.0), 1.0),
+            Disk((0.25, 0.0), 0.15625, closed=True), a, (1.0, 0.0),
+            tuple(svals), fixed_hole=Disk(a, 0.15625, closed=True)),
+            SolverConfig(p=2.0), g) if signed_y > 0 else None
 
     sw = run(1)
     # mirror the whole configuration through the x-axis by hand
@@ -325,10 +333,11 @@ def test_rotate_assumption_violated_for_anchor_off_nodes():
     g = _rotate_grid()
     a = (-0.253, 0.0)  # not aligned with the grid
     with pytest.raises(AssumptionViolated):
-        rotate_sweep("neumann-inner", Disk((0.0, 0.0), 1.0),
-                     Disk(a, 0.15625, closed=True),
-                     Disk((0.247, 0.0), 0.15625, closed=True),
-                     a, (1.0, 0.0), [0.0, 1.0], SolverConfig(p=2.0), g)
+        rotate_sweep(RotateSpec("neumann-inner", Disk((0.0, 0.0), 1.0),
+                                Disk((0.247, 0.0), 0.15625, closed=True),
+                                a, (1.0, 0.0), (0.0, 1.0),
+                                fixed_hole=Disk(a, 0.15625, closed=True)),
+                     SolverConfig(p=2.0), g)
 
 
 # ---------------------------------------------------------------------------
@@ -338,8 +347,8 @@ def test_rotate_assumption_violated_for_anchor_off_nodes():
 
 def test_annulus_study_coarse():
     g = Grid((-1.0625, -1.0625), 2.125 / 68, 68, 68)  # spacing 1/32
-    rep = annulus_study(1.0, 0.2, 0.25, 0.1, SolverConfig(p=2.0), g,
-                        step_cells=2, line_offset=0.4375)
+    rep = annulus_study(AnnulusSpec(1.0, 0.2, 0.25, 0.1, step_cells=2,
+                                    line_offset=0.4375), SolverConfig(p=2.0), g)
     assert rep.mid_segment is None  # no admissible on-axis [-alpha, 0] points
     assert any("mid-increasing" in n for n in rep.notes)
     assert rep.offaxis_segment is not None
@@ -361,28 +370,31 @@ def test_annulus_concentric_matches_translation():
     # polarization-invariant (beyond (R + r) / 2), matching the study there
     g = Grid((-0.8125, -0.8125), 1.625 / 52, 52, 52)
     R, r, rho = 0.75, 0.2, 0.09375
-    rep = annulus_study(R, r, 0.0, rho, SolverConfig(p=2.0), g, step_cells=2)
+    rep = annulus_study(AnnulusSpec(R, r, 0.0, rho, step_cells=2),
+                        SolverConfig(p=2.0), g)
     axis = dict(zip(rep.axis_sweep.params, rep.axis_sweep.lambdas))
     svals = sorted(s for s in axis if s >= (R + r) / 2)
-    sw = translate_sweep(Disk((0.0, 0.0), R), Disk((0.0, 0.0), rho, closed=True),
-                         (1.0, 0.0), svals, SolverConfig(p=2.0), g,
-                         fixed_holes=(Disk((0.0, 0.0), r, closed=True),))
+
+    def sweep(s_values):
+        return translate_sweep(TranslateSpec(
+            Disk((0.0, 0.0), R), Disk((0.0, 0.0), rho, closed=True),
+            (1.0, 0.0), tuple(s_values),
+            fixed_holes=(Disk((0.0, 0.0), r, closed=True),)),
+            SolverConfig(p=2.0), g)
+
+    sw = sweep(svals)
     assert list(sw.params) == svals  # all kept: invariance holds out there
     for s, lam in zip(sw.params, sw.lambdas):
         assert lam == pytest.approx(axis[s], rel=1e-12)
     # inside (R + r) / 2 the invariance fails and offsets are dropped
-    sw2 = translate_sweep(Disk((0.0, 0.0), R), Disk((0.0, 0.0), rho, closed=True),
-                          (1.0, 0.0), [0.375, 0.4375] + svals,
-                          SolverConfig(p=2.0), g,
-                          fixed_holes=(Disk((0.0, 0.0), r, closed=True),))
+    sw2 = sweep([0.375, 0.4375] + svals)
     assert list(sw2.params) == svals
     assert sum("not polarization-invariant" in n for n in sw2.notes) == 2
 
 
 def test_annulus_rejects_bad_parameters():
-    g = _grid()
     with pytest.raises(ValueError):
-        annulus_study(1.0, 0.2, 0.9, 0.1, SolverConfig(p=2.0), g)
+        AnnulusSpec(1.0, 0.2, 0.9, 0.1)
 
 
 def test_annulus_empty_admissible_set():
@@ -390,7 +402,7 @@ def test_annulus_empty_admissible_set():
     g = Grid((-0.8125, -0.8125), 1.625 / 52, 52, 52)
     with pytest.raises(EmptyAdmissibleSet):
         # the obstacle can fit nowhere
-        annulus_study(0.75, 0.3, 0.0, 0.4, SolverConfig(p=2.0), g)
+        annulus_study(AnnulusSpec(0.75, 0.3, 0.0, 0.4), SolverConfig(p=2.0), g)
 
 
 # ---------------------------------------------------------------------------
@@ -403,7 +415,8 @@ def test_symmetry_concentric_annulus():
     outer = rasterize(Disk((0.0, 0.0), 1.0), g)
     hole = rasterize(Disk((0.0, 0.0), 0.2, closed=True), g)
     D = PuncturedDomain(outer, (hole,))
-    rep = symmetry_check(D, (0.0, 0.0), (1.0, 0.0), SolverConfig(p=2.0))
+    rep = symmetry_check(D, SymmetrySpec((0.0, 0.0), (1.0, 0.0)),
+                         SolverConfig(p=2.0))
     assert rep.max_defect < 1e-6
 
 
@@ -412,7 +425,8 @@ def test_symmetry_eccentric_annulus():
     outer = rasterize(Disk((0.0, 0.0), 1.0), g)
     hole = rasterize(Disk((-0.25, 0.0), 0.2, closed=True), g)
     D = PuncturedDomain(outer, (hole,))
-    rep = symmetry_check(D, (-0.25, 0.0), (1.0, 0.0), SolverConfig(p=2.0))
+    rep = symmetry_check(D, SymmetrySpec((-0.25, 0.0), (1.0, 0.0)),
+                         SolverConfig(p=2.0))
     assert rep.max_defect < 1e-3
 
 
@@ -435,7 +449,8 @@ def test_symmetry_requires_fss_domain():
     hole = rasterize(Disk((0.0, 0.375), 0.2, closed=True), g)  # off the ray
     D = PuncturedDomain(outer, (hole,))
     with pytest.raises(AssumptionViolated):
-        symmetry_check(D, (0.0, 0.0), (1.0, 0.0), SolverConfig(p=2.0))
+        symmetry_check(D, SymmetrySpec((0.0, 0.0), (1.0, 0.0)),
+                       SolverConfig(p=2.0))
 
 
 # ---------------------------------------------------------------------------
@@ -469,5 +484,6 @@ def test_sweep_direction_classification():
     # unconverged points drop out; the converged subsequence is classified
     sw = build_sweep([0, 1, 2], [res(1.0), res(5.0, conv=False), res(2.0)], cfg)
     assert sw.direction == "increasing"
+    # fewer than two converged points decide no direction
     sw = build_sweep([0, 1], [res(1.0), res(2.0, conv=False)], cfg)
-    assert sw.direction == "constant" and sw.min_margin == 0.0
+    assert sw.direction == "unresolved" and sw.min_margin == 0.0
