@@ -6,6 +6,11 @@ Each scenario is one frozen spec dataclass, which is also its config
 section.  A spec checks its own rules when it is built and raises
 ValueError (a SpecError naming the field); a runner takes its spec whole
 and checks only what needs the grid or the rasters.
+
+Every obstacle pose of the motion studies (the translate and rotate
+sweeps, the annulus study's lines and circle checks) is placed, screened
+and solved by one loop, _solve_poses; a runner states only the domain at
+a pose, or why the pose is dropped.
 """
 
 from __future__ import annotations
@@ -127,6 +132,11 @@ class SweepResult:
     p_in_strict_range: bool  # p > strict_p_min(): inside the paper's theorem
 
 
+def _steps(lams) -> list:
+    """Relative step (b - a) / |a| between consecutive eigenvalues."""
+    return [(b - a) / max(abs(a), 1e-300) for a, b in zip(lams, lams[1:])]
+
+
 def _classify(params, lambdas, converged, eps) -> tuple[str, float]:
     """Direction over the converged subsequence.
 
@@ -140,7 +150,7 @@ def _classify(params, lambdas, converged, eps) -> tuple[str, float]:
     if len(lams) < 2:
         return "unresolved", 0.0
     lo, hi = min(lams), max(lams)
-    diffs = [(b - a) / max(abs(a), 1e-300) for a, b in zip(lams, lams[1:])]
+    diffs = _steps(lams)
     strict = [abs(d) for d in diffs if abs(d) > eps]
     margin = min(strict) if strict else 0.0
     if (hi - lo) <= EPS_DISC_FACTOR * max(abs(lo), 1e-300):
@@ -231,6 +241,33 @@ def fk_check(D: PuncturedDomain, H: Polarizer, cfg: SolverConfig) -> FkVerdict:
 
 
 # ---------------------------------------------------------------------------
+# obstacle poses
+# ---------------------------------------------------------------------------
+
+
+def _solve_poses(params, domain_at, cfg: SolverConfig, what: str = "obstacle"):
+    """Place, screen and solve the pose of each s in params, in order.
+
+    domain_at(s) returns the pose's PuncturedDomain or the reason to drop
+    it; a MalformedDomain or OutOfBounds drops it as "{what} not
+    admissible".  Returns the kept params, their solves and one note per
+    dropped pose.
+    """
+    kept, results, drops = [], [], []
+    for s in params:
+        try:
+            D = domain_at(s)
+        except (MalformedDomain, OutOfBounds) as exc:
+            D = f"{what} not admissible ({exc})"
+        if isinstance(D, str):
+            drops.append(f"s={s:g}: {D}; dropped")
+            continue
+        kept.append(s)
+        results.append(solve(triangulate(D), cfg))
+    return kept, results, drops
+
+
+# ---------------------------------------------------------------------------
 # translation sweep
 # ---------------------------------------------------------------------------
 
@@ -267,12 +304,15 @@ def translate_sweep(spec: TranslateSpec, cfg: SolverConfig, grid: Grid
     h = np.asarray(spec.direction, dtype=float)
     s_values = spec.s_values
     axis, _ = normal_axis(h)
+    # a polarizer reads only the axis of its normal; h rescaled to unit
+    # length also passes Polarizer's tighter unit check
+    normal = tuple(h / np.hypot(*h))
     outer = rasterize(spec.outer, grid)
     holes = tuple(rasterize(sp, grid) for sp in spec.fixed_holes)
     domain_fixed = outer
     for hole in holes:
         domain_fixed = domain_fixed.minus(hole)
-    H0 = Polarizer((float(h[0]), float(h[1])), 0.0)
+    H0 = Polarizer(normal, 0.0)
     if not is_polarization_invariant(H0, domain_fixed):
         raise AssumptionViolated(
             "fixed domain is not polarization-invariant about the start line "
@@ -300,29 +340,20 @@ def translate_sweep(spec: TranslateSpec, cfg: SolverConfig, grid: Grid
         notes.append("start half-domain reflection leaves the window; "
                      "interval hypothesis not checked")
 
-    kept, results = [], []
-    for s in s_values:
-        Hs = Polarizer((float(h[0]), float(h[1])), float(s))
+    def domain_at(s):
         try:
-            invariant = is_polarization_invariant(Hs, domain_fixed)
+            if not is_polarization_invariant(Polarizer(normal, s), domain_fixed):
+                return "fixed domain not polarization-invariant"
         except IncompatiblePolarizer:
-            notes.append(f"s={s:g}: polarizer not grid-compatible; dropped")
-            continue
-        if not invariant:
-            notes.append(f"s={s:g}: fixed domain not polarization-invariant; "
-                         "dropped")
-            continue
-        try:
-            ob_s = rasterize(translated_obstacle(spec.obstacle, h, s), grid)
-            D = PuncturedDomain(outer, holes + (ob_s,), bc_outer=spec.bc_outer,
-                                bc_inner=DIRICHLET,
-                                bc_obstacles=(DIRICHLET,) * len(holes)
-                                + (spec.bc_obstacle,))
-        except (MalformedDomain, OutOfBounds) as exc:
-            notes.append(f"s={s:g}: obstacle not admissible ({exc}); dropped")
-            continue
-        kept.append(s)
-        results.append(solve(triangulate(D), cfg))
+            return "polarizer not grid-compatible"
+        ob_s = rasterize(translated_obstacle(spec.obstacle, h, s), grid)
+        return PuncturedDomain(outer, holes + (ob_s,), bc_outer=spec.bc_outer,
+                               bc_inner=DIRICHLET,
+                               bc_obstacles=(DIRICHLET,) * len(holes)
+                               + (spec.bc_obstacle,))
+
+    kept, results, drops = _solve_poses(s_values, domain_at, cfg)
+    notes += drops
     if len(kept) < 2:
         raise EmptyAdmissibleSet("fewer than 2 admissible sweep offsets remain")
     return build_sweep(kept, results, cfg, notes)
@@ -388,8 +419,8 @@ def rotate_sweep(spec: RotateSpec, cfg: SolverConfig, grid: Grid
             "no grid-compatible polarizers anchored at the rotation center; "
             "align the anchor with the grid nodes")
     outer = rasterize(spec.outer, grid)
-    fixed = rasterize(fixed_hole, grid) if fixed_hole is not None else None
-    domain_fixed = outer if fixed is None else outer.minus(fixed)
+    fixed = (rasterize(fixed_hole, grid),) if fixed_hole is not None else ()
+    domain_fixed = outer.minus(fixed[0]) if fixed else outer
     if not is_foliated_schwarz(domain_fixed, a, eta, pool):
         raise AssumptionViolated(
             "fixed domain is not foliated Schwarz symmetric about the anchor ray")
@@ -399,20 +430,16 @@ def rotate_sweep(spec: RotateSpec, cfg: SolverConfig, grid: Grid
             "the anchor ray")
 
     bc_outer = NEUMANN if variant == NEUMANN_OUTER else DIRICHLET
-    fixed_bc = NEUMANN if variant == NEUMANN_INNER else DIRICHLET
-    notes, kept, results = [], [], []
-    for s in spec.s_values:
-        try:
-            ob_s = rasterize(rotated_obstacle(spec.obstacle, a, s), grid)
-            obstacles = (fixed, ob_s) if fixed is not None else (ob_s,)
-            bcs = (fixed_bc, DIRICHLET) if fixed is not None else (DIRICHLET,)
-            D = PuncturedDomain(outer, obstacles, bc_outer=bc_outer,
-                                bc_inner=DIRICHLET, bc_obstacles=bcs)
-        except (MalformedDomain, OutOfBounds) as exc:
-            notes.append(f"s={s:g}: rotated obstacle not admissible ({exc}); dropped")
-            continue
-        kept.append(s)
-        results.append(solve(triangulate(D), cfg))
+    fixed_bcs = (NEUMANN if variant == NEUMANN_INNER else DIRICHLET,) * len(fixed)
+
+    def domain_at(s):
+        ob_s = rasterize(rotated_obstacle(spec.obstacle, a, s), grid)
+        return PuncturedDomain(outer, fixed + (ob_s,), bc_outer=bc_outer,
+                               bc_inner=DIRICHLET,
+                               bc_obstacles=fixed_bcs + (DIRICHLET,))
+
+    kept, results, notes = _solve_poses(spec.s_values, domain_at, cfg,
+                                        "rotated obstacle")
     if len(kept) < 2:
         raise EmptyAdmissibleSet("fewer than 2 admissible rotation poses remain")
     radial = is_foliated_schwarz(domain_fixed, a, -eta, fss_polarizer_pool(a, -eta, grid))
@@ -434,7 +461,8 @@ class CircleCheck:
     s_values: tuple
     lambdas: tuple
     converged: tuple
-    ordered: bool          # lambda increasing with the first coordinate
+    ordered: Optional[bool]  # lambda increasing with the first coordinate
+                             # over the converged points; None below two
     min_margin: float
 
 
@@ -453,15 +481,6 @@ class AnnulusStudyReport:
     r_bar: float
     r_under: float
     notes: tuple
-
-
-def _feasible_obstacle(outer, hole, grid, center, rho):
-    try:
-        ob = rasterize(Disk(center, rho, closed=True), grid)
-        return PuncturedDomain(outer, (hole, ob), bc_outer=DIRICHLET,
-                               bc_inner=DIRICHLET)
-    except (MalformedDomain, OutOfBounds):
-        return None
 
 
 @dataclass(frozen=True)
@@ -506,19 +525,16 @@ def annulus_study(spec: AnnulusSpec, cfg: SolverConfig, grid: Grid
     r_bar = 0.5 * (R + r - alpha)
     r_under = -0.5 * (R + r + alpha)
 
+    def placed(x: float, y: float) -> PuncturedDomain:
+        ob = rasterize(Disk((x, y), rho, closed=True), grid)
+        return PuncturedDomain(outer, (hole, ob), bc_outer=DIRICHLET,
+                               bc_inner=DIRICHLET)
+
     def sweep_line(z: float, s_lo: float, s_hi: float):
-        params, results, dropped = [], [], []
         k_lo = math.ceil(s_lo / (step_cells * d) - 1e-9)
         k_hi = math.floor(s_hi / (step_cells * d) + 1e-9)
-        for k in range(k_lo, k_hi + 1):
-            s = k * step_cells * d
-            D = _feasible_obstacle(outer, hole, grid, (s, z), rho)
-            if D is None:
-                dropped.append(s)
-                continue
-            params.append(s)
-            results.append(solve(triangulate(D), cfg))
-        return params, results, dropped
+        return _solve_poses([k * step_cells * d for k in range(k_lo, k_hi + 1)],
+                            lambda s: placed(s, z), cfg)
 
     notes = []
     ax_params, ax_results, ax_dropped = sweep_line(0.0, -R, R)
@@ -551,17 +567,17 @@ def annulus_study(spec: AnnulusSpec, cfg: SolverConfig, grid: Grid
         else:
             notes.append("off-axis line has fewer than 2 admissible samples")
 
-    # unimodality of the right branch (between the hole and the outer wall)
-    right_idx = [i for i, s in enumerate(ax_params) if s > 0.0]
-    lam_right = [ax_results[i].lam for i in right_idx]
-    s_right = [ax_params[i] for i in right_idx]
-    n_max = 0
+    # unimodality of the converged right branch (between the hole and the
+    # outer wall)
+    branch = [(s, res.lam) for s, res in zip(ax_params, ax_results)
+              if s > 0.0 and res.converged]
+    s_right = [s for s, _ in branch]
+    lam_right = [lam for _, lam in branch]
+    steps = _steps(lam_right)
+    n_max = sum(u > 0 >= v for u, v in zip(steps, steps[1:]))  # interior maxima
     argmax_param = float("nan")
     argmax_interior = False
     if lam_right:
-        for i in range(1, len(lam_right) - 1):  # interior local maxima
-            if lam_right[i - 1] < lam_right[i] >= lam_right[i + 1]:
-                n_max += 1
         j = int(np.argmax(lam_right))
         argmax_param = s_right[j]
         argmax_interior = 0 < j < len(lam_right) - 1
@@ -569,29 +585,17 @@ def annulus_study(spec: AnnulusSpec, cfg: SolverConfig, grid: Grid
 
     circle_checks = []
     for (t, beta) in spec.circles or ((0.0, 0.5), (-alpha, 0.45)):
-        angles = (0.5 * math.pi, math.pi / 3.0, math.pi / 6.0, 0.0)
-        pts = [(t + beta * math.cos(phi), beta * math.sin(phi)) for phi in angles]
-        svals, lams, convs = [], [], []
-        for (sx, sy) in pts:
-            D = _feasible_obstacle(outer, hole, grid, (sx, sy), rho)
-            if D is None:
-                continue
-            res = solve(triangulate(D), cfg)
-            svals.append(sx)
-            lams.append(res.lam)
-            convs.append(res.converged)
-        ordered = True
-        margins = []
-        for i in range(len(svals) - 1):
-            if not (convs[i] and convs[i + 1]):
-                continue
-            dlam = (lams[i + 1] - lams[i]) / max(abs(lams[i]), 1e-300)
-            margins.append(abs(dlam))
-            if lams[i + 1] <= lams[i]:
-                ordered = False
-        circle_checks.append(CircleCheck(t, beta, tuple(svals), tuple(lams),
-                                         tuple(convs), ordered,
-                                         min(margins) if margins else 0.0))
+        angles, results, _ = _solve_poses(
+            (0.5 * math.pi, math.pi / 3.0, math.pi / 6.0, 0.0),
+            lambda phi: placed(t + beta * math.cos(phi), beta * math.sin(phi)),
+            cfg)
+        steps = _steps([res.lam for res in results if res.converged])
+        circle_checks.append(CircleCheck(
+            t, beta, tuple(t + beta * math.cos(phi) for phi in angles),
+            tuple(res.lam for res in results),
+            tuple(res.converged for res in results),
+            all(d > 0 for d in steps) if steps else None,
+            min(abs(d) for d in steps) if steps else 0.0))
 
     return AnnulusStudyReport(axis_sweep, left, mid, right, offaxis,
                               tuple(circle_checks), argmax_param,

@@ -734,63 +734,53 @@ def rasterize(shape: ShapeSpec, grid: Grid) -> RasterSet:
     return RasterSet(grid, shape_membership(shape, X, Y))
 
 
+def _moved(shape: ShapeSpec, point, theta: float = 0.0) -> ShapeSpec:
+    """shape with every reference point p sent to point(p) and an ellipse's
+    angle increased by theta; rectangles and rhombi cannot turn."""
+    if isinstance(shape, UnionShape):
+        return UnionShape(tuple(_moved(m, point, theta) for m in shape.members))
+    if isinstance(shape, (Rectangle, Rhombus)) and theta != 0.0:
+        raise ValueError(
+            f"{type(shape).__name__} cannot represent a rotated pose; "
+            "use an ellipse or a union of disks")
+    if isinstance(shape, Disk):
+        return Disk(point(shape.center), shape.radius, shape.closed)
+    if isinstance(shape, Rectangle):
+        return Rectangle(point(shape.lo), point(shape.hi), shape.closed)
+    if isinstance(shape, Rhombus):
+        return Rhombus(point(shape.center), shape.half_diagonal, shape.closed)
+    if isinstance(shape, Ellipse):
+        return Ellipse(point(shape.center), shape.semi_axes,
+                       shape.angle + theta, shape.closed)
+    raise TypeError(f"unknown shape {type(shape).__name__}")
+
+
 def translated_obstacle(shape: ShapeSpec, h, s: float) -> ShapeSpec:
     """Shape shifted by s * h."""
     h = np.asarray(h, dtype=float)
     dx, dy = float(s * h[0]), float(s * h[1])
-
-    def shift(sp):
-        if isinstance(sp, Disk):
-            return Disk((sp.center[0] + dx, sp.center[1] + dy), sp.radius, sp.closed)
-        if isinstance(sp, Rectangle):
-            return Rectangle((sp.lo[0] + dx, sp.lo[1] + dy),
-                             (sp.hi[0] + dx, sp.hi[1] + dy), sp.closed)
-        if isinstance(sp, Rhombus):
-            return Rhombus((sp.center[0] + dx, sp.center[1] + dy),
-                           sp.half_diagonal, sp.closed)
-        if isinstance(sp, Ellipse):
-            return Ellipse((sp.center[0] + dx, sp.center[1] + dy),
-                           sp.semi_axes, sp.angle, sp.closed)
-        if isinstance(sp, UnionShape):
-            return UnionShape(tuple(shift(m) for m in sp.members))
-        raise TypeError(f"unknown shape {type(sp).__name__}")
-
-    return shift(shape)
+    return _moved(shape, lambda p: (p[0] + dx, p[1] + dy))
 
 
 def rotated_obstacle(shape: ShapeSpec, a, s: float) -> ShapeSpec:
     """Shape turned counter-clockwise about a by the angle acos(s).
 
     Disks and ellipses transform exactly; rectangles and rhombi are only
-    accepted at the identity rotation (s = 1).
+    accepted at the identity rotation (s = 1), which returns shape itself.
     """
     if not -1.0 <= s <= 1.0:
         raise ValueError("rotation parameter must lie in [-1, 1]")
     theta = math.acos(s)
+    if theta == 0.0:
+        return shape
     a = np.asarray(a, dtype=float)
     R = _rotation_matrix(theta)
 
-    def rot_point(p):
+    def point(p):
         q = a + R @ (np.asarray(p, dtype=float) - a)
         return (float(q[0]), float(q[1]))
 
-    def rot(sp):
-        if isinstance(sp, Disk):
-            return Disk(rot_point(sp.center), sp.radius, sp.closed)
-        if isinstance(sp, Ellipse):
-            return Ellipse(rot_point(sp.center), sp.semi_axes,
-                           sp.angle + theta, sp.closed)
-        if isinstance(sp, UnionShape):
-            return UnionShape(tuple(rot(m) for m in sp.members))
-        if isinstance(sp, (Rectangle, Rhombus)):
-            if abs(theta) <= 1e-12:
-                return sp
-            raise ValueError(
-                f"{type(sp).__name__} cannot represent a rotated pose; "
-                "use an ellipse or a union of disks")
-        raise TypeError(f"unknown shape {type(sp).__name__}")
-
-    return rot(shape)
+    return _moved(shape, point, theta)
 
 
 # ---------------------------------------------------------------------------

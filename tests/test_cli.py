@@ -344,6 +344,17 @@ def _main_stderr(tmp_path, capsys, kind: str, raw: dict, *args: str):
     return code, capsys.readouterr().err.splitlines()
 
 
+def test_main_nearly_unit_translate_direction_no_traceback(tmp_path, capsys):
+    # within check_unit's 1e-9 but not Polarizer's 1e-12
+    raw = json.loads(COARSE_TRANSLATE)
+    raw["translate"]["direction"] = [1.0000000005, 0.0]
+    raw["translate"]["s_values"] = [0.0, 0.03125]
+    code, err = _main_stderr(tmp_path, capsys, "translate-sweep", raw)
+    assert code in (0, 2, 3)
+    assert len(err) <= 1
+    assert not any("Traceback" in line for line in err)
+
+
 def test_main_rotated_rectangle_rejected_at_parse(tmp_path, capsys):
     raw = json.loads(COARSE_ROTATE_RADIAL)
     raw["rotate"]["obstacle"] = {"type": "rectangle", "lo": [0.4, -0.1],

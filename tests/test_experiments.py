@@ -1,6 +1,7 @@
 """Scenario runners on coarse grids: inequality checks, sweeps, studies."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from polarlap.geometry import (
 )
 from polarlap.discretize import triangulate
 from polarlap.eigensolve import SolverConfig, solve
+from polarlap import experiments as xp
 from polarlap.experiments import (
     AnnulusSpec,
     RotateSpec,
@@ -196,7 +198,8 @@ def test_translate_infeasible_offsets_dropped():
         Disk((0.0, 0.0), 0.5), Disk((0.0, 0.0), 0.15, closed=True),
         (1.0, 0.0), (0.0, 4 * d, 30 * d)), SolverConfig(p=2.0), g)
     assert len(sw.params) == 2
-    assert any("dropped" in note for note in sw.notes)
+    assert sw.notes == ("s=0.9375: obstacle not admissible (shape bounding "
+                        "box exceeds the grid window); dropped",)
 
 
 def test_translate_assumption_violations():
@@ -329,6 +332,21 @@ def test_rotate_mirrored_axis_direction_matches():
         assert abs(la - lb) / la < 1e-9
 
 
+def test_rotate_inadmissible_pose_dropped():
+    # at s = -1 the obstacle touches the outer wall; the pose is dropped
+    g = _rotate_grid()
+    a = (-0.25, 0.0)
+    sw = rotate_sweep(RotateSpec("neumann-inner", Disk((0.0, 0.0), 1.0),
+                                 Disk((0.25, 0.0), 0.3, closed=True),
+                                 a, (1.0, 0.0), (-1.0, 0.0, 1.0),
+                                 fixed_hole=Disk(a, 0.15625, closed=True)),
+                      SolverConfig(p=2.0), g)
+    assert sw.params == (0.0, 1.0)
+    assert sw.notes == ("s=-1: rotated obstacle not admissible (obstacle 1 is "
+                        "not separated from the outer boundary by a free cell "
+                        "ring); dropped",)
+
+
 def test_rotate_assumption_violated_for_anchor_off_nodes():
     g = _rotate_grid()
     a = (-0.253, 0.0)  # not aligned with the grid
@@ -350,7 +368,9 @@ def test_annulus_study_coarse():
     rep = annulus_study(AnnulusSpec(1.0, 0.2, 0.25, 0.1, step_cells=2,
                                     line_offset=0.4375), SolverConfig(p=2.0), g)
     assert rep.mid_segment is None  # no admissible on-axis [-alpha, 0] points
-    assert any("mid-increasing" in n for n in rep.notes)
+    assert rep.notes == ("axis: 13 placements dropped as infeasible",
+                         "mid-increasing segment [-0.25, 0] has 0 admissible "
+                         "samples; no verdict")
     assert rep.offaxis_segment is not None
     assert rep.offaxis_segment.direction == "increasing"
     assert rep.right_segment.direction == "decreasing"
@@ -362,6 +382,43 @@ def test_annulus_study_coarse():
     left = [(s, l) for s, l in zip(rep.axis_sweep.params,
                                    rep.axis_sweep.lambdas) if s <= rep.r_under]
     assert all(b[1] > a[1] for a, b in zip(left, left[1:]))
+
+
+def test_annulus_verdicts_skip_unconverged_solves(monkeypatch):
+    # the outermost right-branch placement comes back unconverged with a
+    # tenfold lambda; the unimodality verdicts read only converged points
+    g = Grid((-1.0625, -1.0625), 2.125 / 68, 68, 68)  # spacing 1/32
+    spec = AnnulusSpec(1.0, 0.2, 0.25, 0.1, step_cells=2)
+    cfg = SolverConfig(p=2.0)
+    base = annulus_study(spec, cfg, g)
+    n_axis = len(base.axis_sweep.params)
+    assert base.axis_sweep.params[-1] > 0.0 and base.argmax_interior
+    calls = []
+
+    def solve_spoiled(mesh, cfg):
+        res = solve(mesh, cfg)
+        calls.append(res)
+        if len(calls) == n_axis:  # the axis poses are solved first, in order
+            res = replace(res, lam=10 * res.lam, converged=False)
+        return res
+
+    monkeypatch.setattr(xp, "solve", solve_spoiled)
+    rep = annulus_study(spec, cfg, g)
+    assert rep.axis_sweep.converged[-1] is False
+    assert rep.argmax_interior and rep.unimodal
+    assert (rep.argmax_param, rep.n_local_maxima) == (base.argmax_param,
+                                                      base.n_local_maxima)
+
+
+def test_circle_check_without_pairs_is_unresolved():
+    # no placement on this circle is admissible: nothing is compared
+    g = Grid((-1.03125, -1.03125), 2.0625 / 34, 34, 34)
+    rep = annulus_study(AnnulusSpec(1.0, 0.2, 0.25, 0.1, circles=((0.85, 0.5),)),
+                        SolverConfig(p=2.0), g)
+    (check,) = rep.circle_checks
+    assert check.s_values == ()
+    assert check.ordered is None
+    assert check.min_margin == 0.0
 
 
 def test_annulus_concentric_matches_translation():
@@ -389,7 +446,11 @@ def test_annulus_concentric_matches_translation():
     # inside (R + r) / 2 the invariance fails and offsets are dropped
     sw2 = sweep([0.375, 0.4375] + svals)
     assert list(sw2.params) == svals
-    assert sum("not polarization-invariant" in n for n in sw2.notes) == 2
+    assert sw2.notes == (
+        "start half-domain union is not directionally convex on the raster; "
+        "interval hypothesis flagged",
+        "s=0.375: fixed domain not polarization-invariant; dropped",
+        "s=0.4375: fixed domain not polarization-invariant; dropped")
 
 
 def test_annulus_rejects_bad_parameters():
