@@ -7,9 +7,13 @@ values on its diagonal slots (`TriMesh.stencil7.diag`).
 
 At p = 2 the problem is the symmetric pencil (K, B) of the free-node
 stiffness and the lumped mass, solved by single-vector LOBPCG (`_lobpcg`;
-Knyazev, SIAM J. Sci. Comput. 23, 2001).  Its 3x3 Ritz problem is solved
-in plain Python: the first LAPACK eigh call maps about 1.4 MB of library
-pages, which showed in a sweep's peak memory.
+Knyazev, SIAM J. Sci. Comput. 23, 2001).  A step keeps its basis (the
+iterate, the preconditioned residual and the previous direction) and
+their K-images in one (4, 2, n) block, forms the Gram matrices S^T B S
+and S^T K S from it without orthogonalizing the basis, and solves the
+3x3 Rayleigh-Ritz pencil in plain Python by a Cholesky factor that drops
+a (nearly) dependent row: the first LAPACK eigh call maps about 1.4 MB
+of library pages, which showed in a sweep's peak memory.
 
 At p != 2 one driver, `_continuation`, runs Newton on the eigenpair
 (`_newton_step`) along an adaptive ladder of exponents from the p = 2
@@ -237,16 +241,22 @@ def _lobpcg(M: TriMesh, T: _TwoGrid, x: np.ndarray, tol: float,
     max_steps steps; returns the last iterate, lam, the residual, the
     number of steps and whether |K x - lam B x|_inf <= tol lam |B x|_inf.
 
-    The basis rows x, w = T r and the previous direction d are kept
-    B-orthonormal together with their K-images in one preallocated block,
-    so a step makes one two-grid application and one product with K, and
-    every update is in place.
+    The basis rows S = (x, w = T r, d the previous direction) and their
+    K-images sit in one preallocated block, so a step makes one two-grid
+    application and one product with K, and every update is in place.  The
+    rows are not orthogonalized.  A step forms G = S^T B S and the
+    symmetrized A = S^T K S a row at a time, and does Rayleigh-Ritz on the
+    pencil (A, G) in plain Python through the Cholesky factor G = L L^T
+    (Hetmaniuk-Lehoucq, J. Comput. Phys. 218, 2006): the Ritz vector is
+    S^T c with c = L^-T v, v the smallest eigenvector of L^-1 A L^-T.  x
+    is always kept; w or d is left out of the step when its pivot is at
+    most (1e-12)^2 G_ii, that is when the B-norm of its part outside the
+    rows kept before it is at most 1e-12 of its own.  d is zero on the
+    first step, whose pencil is 2x2.
     """
     K = T.K
     m = M.mass_w[M.free_nodes]
-    # Z[i] = (basis vector, its K-image) for x, w and d; Z[3] is scratch.
-    # d starts at zero, and a basis vector that orthogonalization reduces
-    # to (nearly) nothing is left out of that step's Rayleigh-Ritz.
+    # Z[i] = (basis row, its K-image) for x, w and d; Z[3] is scratch
     Z = np.zeros((4, 2, m.size))
     tmp, bx = Z[3]
     Z[0, 0] = x
@@ -273,25 +283,37 @@ def _lobpcg(M: TriMesh, T: _TwoGrid, x: np.ndarray, tol: float,
     for iters in range(1, max_steps + 1):
         Z[1, 0] = T.matvec(tmp)
         Z[1, 1] = K @ Z[1, 0]
-        basis = [0]
-        for i in (1, 2):
-            before = math.sqrt(b_dot(Z[i, 0], Z[i, 0]))
-            for _ in range(2):  # Gram-Schmidt twice keeps B-orthogonality
-                for j in basis:
-                    np.multiply(Z[j], b_dot(Z[j, 0], Z[i, 0]), out=Z[3])
-                    Z[i] -= Z[3]
-            norm = math.sqrt(b_dot(Z[i, 0], Z[i, 0]))
-            if norm > 1e-12 * before:
-                Z[i] /= norm
-                basis.append(i)
-        A = [[0.5 * (float(Z[a, 0] @ Z[b, 1]) + float(Z[b, 0] @ Z[a, 1]))
-              for b in basis] for a in basis]
-        coef = dict(zip(basis, _smallest_eigenpair(A)[1]))
+        k = 2 if iters == 1 else 3
+        S, KS = Z[:k, 0], Z[:k, 1]
+        # matrix-vector products only: a matrix-matrix product maps the
+        # BLAS level-3 work buffer, 0.25 MB more peak memory
+        G, A = [], []
+        for i in range(k):
+            np.multiply(m, S[i], out=tmp)
+            G.append((S @ tmp).tolist())
+            A.append((KS @ S[i]).tolist())
+        A = [[0.5 * (A[i][j] + A[j][i]) for j in range(k)] for i in range(k)]
+        # E = L^-1, with a zero column for each dropped row: row a holds
+        # the coefficients in S of the a-th B-orthonormal basis vector
+        E = []
+        for i in range(k):
+            h = [sum(e[j] * G[i][j] for j in range(i)) for e in E]
+            pivot = G[i][i] - sum(v * v for v in h)
+            if i == 0 or pivot > 1e-24 * G[i][i]:
+                scale = 1.0 / math.sqrt(pivot)
+                E.append([scale * (float(j == i) - sum(v * e[j]
+                                                       for v, e in zip(h, E)))
+                          for j in range(k)])
+        R = [[sum(a[i] * A[i][j] * b[j] for i in range(k) for j in range(k))
+              for b in E] for a in E]
+        v = _smallest_eigenpair(R)[1]
+        c = [sum(va * e[j] for va, e in zip(v, E)) for j in range(k)]
+        c += [0.0] * (3 - k)
         # d <- the new iterate's part outside x; x <- c_x x + d
-        Z[2] *= coef.get(2, 0.0)
-        np.multiply(Z[1], coef.get(1, 0.0), out=Z[3])
+        Z[2] *= c[2]
+        np.multiply(Z[1], c[1], out=Z[3])
         Z[2] += Z[3]
-        Z[0] *= coef[0]
+        Z[0] *= c[0]
         Z[0] += Z[2]
         Z[0] /= math.sqrt(b_dot(Z[0, 0], Z[0, 0]))
         lam = residual()

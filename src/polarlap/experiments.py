@@ -41,6 +41,7 @@ from .geometry import (
     RasterSet,
     Reflection,
     ShapeSpec,
+    compatible_normal,
     directionally_convex,
     fss_polarizer_pool,
     is_foliated_schwarz,
@@ -289,6 +290,10 @@ class TranslateSpec:
 
     def __post_init__(self):
         check_unit(self.direction, "translation direction", "direction")
+        try:
+            normal_axis(self.direction)
+        except IncompatiblePolarizer as exc:
+            raise SpecError(str(exc), "direction") from None
 
 
 def translate_sweep(spec: TranslateSpec, cfg: SolverConfig, grid: Grid
@@ -301,12 +306,13 @@ def translate_sweep(spec: TranslateSpec, cfg: SolverConfig, grid: Grid
     symmetric about it; offsets whose invariance or containment fails are
     dropped with a note.
     """
-    h = np.asarray(spec.direction, dtype=float)
+    # the exact compatible direction the spec's matches: a direction within
+    # check_unit's tolerance of it shifts by whole cells just as it does,
+    # and passes Polarizer's tighter unit check
+    normal = compatible_normal(spec.direction)
+    h = np.asarray(normal)
     s_values = spec.s_values
-    axis, _ = normal_axis(h)
-    # a polarizer reads only the axis of its normal; h rescaled to unit
-    # length also passes Polarizer's tighter unit check
-    normal = tuple(h / np.hypot(*h))
+    axis, _ = normal_axis(normal)
     outer = rasterize(spec.outer, grid)
     holes = tuple(rasterize(sp, grid) for sp in spec.fixed_holes)
     domain_fixed = outer
@@ -562,6 +568,9 @@ def annulus_study(spec: AnnulusSpec, cfg: SolverConfig, grid: Grid
     if spec.line_offset is not None:
         off_params, off_results, off_dropped = sweep_line(spec.line_offset,
                                                           -alpha, 0.0)
+        if off_dropped:
+            notes.append(f"off-axis line: {len(off_dropped)} placements "
+                         "dropped as infeasible")
         if len(off_params) >= 2:
             offaxis = build_sweep(off_params, off_results, cfg)
         else:
@@ -585,10 +594,13 @@ def annulus_study(spec: AnnulusSpec, cfg: SolverConfig, grid: Grid
 
     circle_checks = []
     for (t, beta) in spec.circles or ((0.0, 0.5), (-alpha, 0.45)):
-        angles, results, _ = _solve_poses(
+        angles, results, dropped = _solve_poses(
             (0.5 * math.pi, math.pi / 3.0, math.pi / 6.0, 0.0),
             lambda phi: placed(t + beta * math.cos(phi), beta * math.sin(phi)),
             cfg)
+        if dropped:
+            notes.append(f"circle ({t:g}, {beta:g}): {len(dropped)} "
+                         "placements dropped as infeasible")
         steps = _steps([res.lam for res in results if res.converged])
         circle_checks.append(CircleCheck(
             t, beta, tuple(t + beta * math.cos(phi) for phi in angles),

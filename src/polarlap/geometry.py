@@ -204,6 +204,12 @@ def normal_axis(normal) -> tuple[str, bool]:
         f"direction {(hx, hy)} is not axis-aligned or at 45 degrees")
 
 
+def compatible_normal(normal) -> tuple[float, float]:
+    """The exact compatible unit normal that normal_axis matches."""
+    axis, greater = normal_axis(normal)
+    return _normal(axis, -1 if greater else 1)
+
+
 @dataclass(frozen=True)
 class _Reduced:
     """Integer form of a compatible polarizer on a given grid.

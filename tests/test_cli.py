@@ -355,6 +355,40 @@ def test_main_nearly_unit_translate_direction_no_traceback(tmp_path, capsys):
     assert not any("Traceback" in line for line in err)
 
 
+def test_main_nearly_unit_translate_direction_shifts_by_the_unit(tmp_path):
+    # the obstacle moves along the compatible direction that the spec's
+    # matches, so the shifts stay whole cells and the outputs are those of
+    # the unit direction
+    raw = json.loads((CONFIG_DIR / "translate_sweep_disk.cfg").read_text())
+    outputs = []
+    for direction in ([1.0000000005, 0.0], [1.0, 0.0]):
+        raw["translate"]["direction"] = direction
+        path = tmp_path / "c.cfg"
+        path.write_text(json.dumps(raw))
+        out = tmp_path / f"out{len(outputs)}"
+        assert main(["translate-sweep", "--config", str(path), "--grid-n", "33",
+                     "--out", str(out)]) == 0
+        outputs.append([(out / name).read_bytes()
+                        for name in ("result.csv", "verdict.json")])
+    assert outputs[0] == outputs[1]
+
+
+def test_annulus_study_notes_dropped_circle_and_offaxis_placements(tmp_path):
+    # a circle and an off-axis line whose obstacles all leave the annulus at
+    # 34 cells: each is noted, as the axis placements are
+    raw = json.loads((CONFIG_DIR / "annulus_study.cfg").read_text())
+    raw["annulus"]["circles"] = [[0.85, 0.5]]
+    raw["annulus"]["line_offset"] = 0.875
+    path = tmp_path / "c.cfg"
+    path.write_text(json.dumps(raw))
+    out = tmp_path / "out"
+    assert main(["annulus-study", "--config", str(path), "--grid-n", "34",
+                 "--out", str(out)]) == 0
+    notes = json.loads((out / "verdict.json").read_text())["notes"]
+    assert "circle (0.85, 0.5): 4 placements dropped as infeasible" in notes
+    assert "off-axis line: 5 placements dropped as infeasible" in notes
+
+
 def test_main_rotated_rectangle_rejected_at_parse(tmp_path, capsys):
     raw = json.loads(COARSE_ROTATE_RADIAL)
     raw["rotate"]["obstacle"] = {"type": "rectangle", "lo": [0.4, -0.1],
@@ -390,6 +424,7 @@ MALFORMED_BASES = {
 @pytest.mark.parametrize("base, path, value, field", [
     ("translate", "translate.direction", ["a", 0], "translate.direction"),
     ("translate", "translate.direction", [1.0, 1.0], "translate.direction"),
+    ("translate", "translate.direction", [0.6, 0.8], "translate.direction"),
     ("translate", "translate.s_values", 5, "translate.s_values"),
     ("translate", "translate.s_values", ["x"], "translate.s_values"),
     ("translate", "translate.fixed_holes", 3, "translate.fixed_holes"),
@@ -448,6 +483,7 @@ def test_main_malformed_value_one_line_error(tmp_path, capsys, base, path,
 
 @pytest.mark.parametrize("base, section, changes", [
     ("translate", "translate", {"direction": (1.0, 1.0)}),
+    ("translate", "translate", {"direction": (0.6, 0.8)}),
     ("solve", "domain", {"bc_obstacles": ("dirichlet", "neumann")}),
     ("annulus", "annulus", {"step_cells": 0}),
     ("annulus", "annulus", {"step_cells": -1}),

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,9 +26,11 @@ from polarlap.discretize import (
     stiffness_matrix,
     triangulate,
 )
+from polarlap import eigensolve
 from polarlap.eigensolve import (
     EigenResult,
     _TwoGrid,
+    _lobpcg,
     _mass_normalize,
     _smallest_eigenpair,
     SolverConfig,
@@ -42,6 +45,8 @@ from conftest import (
     centered_grid,
     unit_grid,
 )
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
 def _square_mesh(n, bc=DIRICHLET, allow_pn=False):
@@ -298,6 +303,95 @@ def test_smallest_eigenpair_of_known_spectrum(rng):
             assert np.abs(A @ c - lam * np.asarray(c)).max() <= 1e-12 * d[-1]
 
 
+def _ritz_sizes(monkeypatch):
+    # the order of each Rayleigh-Ritz problem: the number of kept basis rows
+    sizes = []
+
+    def recorded(A):
+        sizes.append(len(A))
+        return _smallest_eigenpair(A)
+
+    monkeypatch.setattr(eigensolve, "_smallest_eigenpair", recorded)
+    return sizes
+
+
+def test_lobpcg_drops_w_in_the_span_of_x(monkeypatch):
+    # with one free node every start is the eigenvector and w = T r lies in
+    # the span of x (r is often exactly zero): its Cholesky pivot is not
+    # above the drop bound, so w is left out rather than divided by a zero
+    # pivot, and the first step converges
+    sizes = _ritz_sizes(monkeypatch)
+    for h in np.linspace(0.1, 2.9, 15):
+        mesh = triangulate(PuncturedDomain(RasterSet(
+            Grid((0.0, 0.0), float(h), 2, 2), np.ones((2, 2), bool)), ()))
+        K = stiffness_matrix(mesh)
+        m = mesh.mass_w[mesh.free_nodes]
+        for sign in (1.0, -1.0):
+            sizes.clear()
+            x = sign * _mass_normalize(mesh, np.ones(1), 2.0)
+            x, lam, res, steps, converged = _lobpcg(
+                mesh, _TwoGrid(mesh, K), x, 1e-8, 5)
+            assert sizes == [1]
+            assert steps == 1 and converged
+            assert abs(lam - K[0, 0] / m[0]) <= 1e-14 * lam
+            assert np.all(np.isfinite(x)) and math.isfinite(res)
+
+
+@pytest.mark.parametrize("bc_inner", [DIRICHLET, NEUMANN])
+def test_lobpcg_first_step_has_no_direction(monkeypatch, bc_inner):
+    # d is zero on the first step, so that Ritz problem is 2x2; no later
+    # row is dropped on a Dirichlet or a Neumann hole.  A restart from the
+    # converged vector converges in one step on the same lam.
+    mesh = _annulus_mesh(32, bc_inner=bc_inner)
+    T = _TwoGrid(mesh, stiffness_matrix(mesh))
+    sizes = _ritz_sizes(monkeypatch)
+    x, lam, _, steps, converged = _lobpcg(
+        mesh, T, _mass_normalize(mesh, np.ones(mesh.n_free), 2.0), 1e-8, 200)
+    assert converged
+    assert sizes == [2] + [3] * (steps - 1)
+    assert abs(lam - _eigsh_pair(mesh)[0]) <= 1e-12 * lam
+    sizes.clear()
+    y, again, res, steps, converged = _lobpcg(mesh, T, x, 1e-8, 200)
+    assert steps == 1 and converged and sizes == [2]
+    assert abs(again - lam) <= 1e-12 * lam
+    assert np.all(np.isfinite(y)) and math.isfinite(res)
+
+
+def test_lobpcg_peak_memory_at_spacing_1_64(ref_stiffness):
+    # the step works in one (4, 2, n) block: 12.07 n-vectors traced at peak
+    # on this mesh, where fresh (3, n) and (2, 2n) Gram buffers measured
+    # 19.1 and raised a p = 2 sweep's peak RSS
+    import tracemalloc
+    mesh, K = ref_stiffness
+    T = _TwoGrid(mesh, K)
+    x = _mass_normalize(mesh, np.ones(mesh.n_free), 2.0)
+    _lobpcg(mesh, T, x, 1e-8, 200)  # warm: first-call allocations
+    tracemalloc.start()
+    try:
+        _lobpcg(mesh, T, x, 1e-8, 200)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 12.5 * 8 * mesh.n_free
+
+
+@pytest.mark.parametrize("name, iters", [
+    ("translate_sweep_disk.cfg", (34, 34, 32, 30, 29)),
+    ("rotate_sweep_annulus.cfg", (27, 28, 28, 31, 30)),
+])
+def test_sweep_p2_step_counts_at_spacing_1_64(name, iters):
+    # the LOBPCG steps of the shipped p = 2 sweeps: a Dirichlet translation
+    # and a rotation with a Neumann hole, 1/64
+    from polarlap import cli, experiments
+    cfg = cli.parse_config((CONFIG_DIR / name).read_text())
+    if cfg.kind == "translate-sweep":
+        sweep = experiments.translate_sweep(cfg.translate, cfg.solver, cfg.grid)
+    else:
+        sweep = experiments.rotate_sweep(cfg.rotate, cfg.solver, cfg.grid)
+    assert sweep.outer_iters == iters
+    assert all(sweep.converged)
+
+
 def test_newton_cg_failure_is_not_converged(monkeypatch):
     # at p > 2 a Newton step whose PCG misses its rtol is refused, so every
     # continuation stage fails and the solve ends unconverged at max_outer
@@ -324,7 +418,6 @@ def test_solve_p16_small_mesh():
 def _nan_gradient(monkeypatch):
     # the energy kernel of every evaluation returns its energy and a NaN
     # gradient
-    from polarlap import eigensolve
     kernel = eigensolve.energy_grad_flat
     monkeypatch.setattr(eigensolve, "energy_grad_flat", lambda M, flat, p: (
         kernel(M, flat, p)[0], np.full(M.n_free, np.nan)))
@@ -344,7 +437,6 @@ def test_nan_residual_fails_every_stage(monkeypatch):
     # past the p = 2 start, a NaN residual refuses each stage's first step
     # before a Hessian is built; each refusal counts as a step, and the
     # solve ends unconverged at max_outer without raising
-    from polarlap import eigensolve
     hessians = []
     _nan_gradient(monkeypatch)
     monkeypatch.setattr(eigensolve, "hessian_flat",
@@ -586,7 +678,6 @@ def test_stencil_pattern_is_built_once_per_mesh(rng):
 def test_p2_solve_builds_no_hessian(monkeypatch):
     # K is built by the stencil directly; only Newton (p != 2) builds
     # Hessians
-    from polarlap import eigensolve
 
     def refuse(*args):
         raise AssertionError("p = 2 built a Hessian")
@@ -649,7 +740,6 @@ def test_no_fine_factor_at_any_p(monkeypatch, p):
     # only coarse two-grid matrices are factored, by the banded Cholesky,
     # on both sides of p = 2; no sparse LU is made
     import scipy.sparse.linalg as spla
-    from polarlap import eigensolve
     band_cholesky = eigensolve._band_cholesky
     rows = []
 
@@ -675,7 +765,6 @@ def test_no_fine_factor_at_any_p(monkeypatch, p):
 
 
 def _count_energy_calls(monkeypatch) -> list:
-    from polarlap import eigensolve
     kernel = eigensolve.energy_grad_flat
     calls = []
 
@@ -717,7 +806,6 @@ def test_p3_stiffness_assemblies_are_bounded(monkeypatch, ref_stiffness):
     # Hessians; inverse iteration started each inner solve on its ray
     # minimizer and assembled 41 in 20 outer steps (23 with a Newton
     # finish), and 125 without that start
-    from polarlap import eigensolve
     hessian = eigensolve.hessian_flat
     calls = []
 
@@ -778,7 +866,6 @@ def test_converged_means_residual_bound(p):
 
 def _record_stage_exponents(monkeypatch) -> list:
     # the exponent of every Newton step, in order
-    from polarlap import eigensolve
     newton_step = eigensolve._newton_step
     exponents = []
 
@@ -844,7 +931,6 @@ def test_underflowing_hessian_fails_the_step(monkeypatch):
     # raising.  p = 50 on this ellipse did so once per solve while the
     # coarse matrix had a sparse LU, and now converges
     # (test_large_p_on_the_ellipse), so the zero is put on every Hessian
-    from polarlap import eigensolve
     hessian = eigensolve.hessian_flat
     failures = []
 
