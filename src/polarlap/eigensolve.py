@@ -25,9 +25,11 @@ solve, and a nonlinear analogue of the LOBPCG step at p = 3 stalled near
 a 3e-5 residual.
 
 Every symmetric positive definite solve, in LOBPCG and in each Newton
-step, is preconditioned by a two-grid cycle (`_TwoGrid`), and only coarse
-matrices (about 1/16 of the unknowns) are factored, at every p, by a
-banded Cholesky (`_band_cholesky`): a resident sparse LU of the 1/64
+step, is preconditioned by a two-grid cycle (`_TwoGrid`).  Its
+prolongation is built once per solve from K; a Newton step's cycle keeps
+it and takes only its smoother and coarse matrix from the step's Hessian.
+Only coarse matrices (about 1/16 of the unknowns) are factored, at every
+p, by a banded Cholesky (`_band_cholesky`): a resident sparse LU of the 1/64
 stiffness raised a p = 2 sweep's peak memory by 15%, one fine LU per
 Newton step was most of a p = 3 solve, and a sparse LU of the coarse
 matrix took 2-3 ms of a 20 ms Newton step.
@@ -147,6 +149,14 @@ def _band_cholesky(A: sp.coo_matrix) -> np.ndarray:
     return rows.reshape(m * kd, kd + 1)[:n].T
 
 
+def _positive_diagonal(K: sp.csr_matrix) -> np.ndarray:
+    """K's diagonal; RuntimeError unless every entry is positive."""
+    diag = K.diagonal()
+    if not diag.min() > 0.0:
+        raise RuntimeError("two-grid needs a positive diagonal")
+    return diag
+
+
 class _TwoGrid(spla.LinearOperator):
     """Symmetric two-grid V(1,1) cycle for an SPD free-node matrix K.
 
@@ -154,11 +164,13 @@ class _TwoGrid(spla.LinearOperator):
     raster: aggregates are fixed 4x4 blocks of free nodes in row-major
     order, and the prolongation is P = (I - 2/3 D^-1 K) P0 with sorted
     column indices, so the cycle depends on K's values only, not on the
-    exact zeros K stores.  The Galerkin coarse matrix P^T K P couples an
-    aggregate with the next row of aggregates at most, so in that order it
-    is banded (half-bandwidth 32 on the 776 aggregates of the 1/64
-    reference annulus); it is factored once by `_band_cholesky` and each
-    coarse solve is LAPACK's banded dpbtrs.  One damped-Jacobi sweep
+    exact zeros K stores.  P is built once, from the K the cycle is made
+    with, and `for_matrix` gives another matrix's cycle on the same P.
+    The Galerkin coarse matrix P^T K P couples an aggregate with the next
+    row of aggregates at most, so in that order it is banded
+    (half-bandwidth 32 on the 776 aggregates of the 1/64 reference
+    annulus); it is factored once by `_band_cholesky` and each coarse
+    solve is LAPACK's banded dpbtrs.  One damped-Jacobi sweep
     (omega = 0.6) runs before and one after the coarse correction, so the
     cycle is symmetric and, as a CG preconditioner, positive definite.  A
     diagonal entry of K that is not positive, or a coarse matrix that is
@@ -171,23 +183,23 @@ class _TwoGrid(spla.LinearOperator):
         _, agg = np.unique((iy // 4) * (M.grid.nx + 1) + ix // 4,
                            return_inverse=True)
         n = K.shape[0]
-        self.P0 = sp.csr_matrix((np.ones(n), (np.arange(n), agg)))
+        P0 = sp.csr_matrix((np.ones(n), (np.arange(n), agg)))
+        self.P = P0 - sp.diags(2.0 / 3.0 / _positive_diagonal(K)) @ (K @ P0)
+        self.P.sort_indices()
+        self.PT = self.P.T  # a view; transposing per application cost 8%
         self._set_matrix(K)
 
     def _set_matrix(self, K: sp.csr_matrix):
-        diag = K.diagonal()
-        if not diag.min() > 0.0:
-            raise RuntimeError("two-grid needs a positive diagonal")
-        self.P = self.P0 - sp.diags(2.0 / 3.0 / diag) @ (K @ self.P0)
-        self.P.sort_indices()
-        self.PT = self.P.T  # a view; transposing per application cost 8%
+        """The smoother and the factored coarse matrix P^T K P of K."""
         self.K = K
-        self.jacobi = 0.6 / diag
+        self.jacobi = 0.6 / _positive_diagonal(K)
         self.coarse = _band_cholesky((self.PT @ (K @ self.P)).tocoo())
 
     def for_matrix(self, K: sp.csr_matrix) -> "_TwoGrid":
-        """The cycle for another matrix on the same free nodes; only the
-        aggregates P0 are shared."""
+        """The cycle for another matrix on the same free nodes, a Newton
+        Hessian: P is shared, and only the smoother and the coarse matrix
+        are K's (building P from each Hessian cost a third of a p = 3
+        Newton step)."""
         other = copy.copy(self)
         other._set_matrix(K)
         return other
@@ -357,7 +369,8 @@ def _newton_step(M: TriMesh, T: _TwoGrid, x: np.ndarray, lam: float,
     it solves Q^T A Q t = -r/p on {g^T t = 0} at rtol 1e-2 in at most 100
     iterations.  x^T r = 0 at the Rayleigh quotient, so the right-hand side
     lies in the range of Q^T.  The preconditioner is the two-grid C of Kh
-    projected the same way, z = C y - C g (g^T C y) / (g^T C g).  A
+    on T's prolongation (`_TwoGrid.for_matrix`), projected the same way,
+    z = C y - C g (g^T C y) / (g^T C g).  A
     annihilates an eigenfunction and is positive semidefinite on
     {g^T t = 0} at a minimizer of the quotient, but can be indefinite away
     from one, so a solve that misses its tolerance or ends on nonpositive

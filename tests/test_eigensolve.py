@@ -686,14 +686,25 @@ def test_p2_solve_builds_no_hessian(monkeypatch):
     assert solve(_annulus_mesh(16), SolverConfig(p=2.0)).converged
 
 
-def test_two_grid_for_matrix_equals_fresh_build(ref_stiffness, rng):
-    # a Hessian's cycle built on the Laplacian's aggregates is the cycle
-    # built from scratch
+def test_two_grid_for_matrix_shares_p(ref_stiffness, rng):
+    # a Newton Hessian's cycle keeps the stiffness's prolongation P and
+    # takes its smoother and coarse factor from the Hessian, bit for bit;
+    # the cycle stays symmetric and positive on a p = 3 Hessian at 1/64
     mesh, K = ref_stiffness
-    Kh = K + K @ K
-    b = rng.standard_normal(mesh.n_free)
-    shared = _TwoGrid(mesh, K).for_matrix(Kh)
-    assert np.array_equal(shared.matvec(b), _TwoGrid(mesh, Kh).matvec(b))
+    res = solve(mesh, SolverConfig(p=3.0))
+    Kh = hessian_flat(mesh, mesh.flat_values(res.u), 3.0)
+    T = _TwoGrid(mesh, K)
+    C = T.for_matrix(Kh)
+    assert C.P is T.P
+    assert C.K is Kh and T.K is K
+    assert np.array_equal(C.jacobi, 0.6 / Kh.diagonal())
+    assert np.array_equal(C.coarse, eigensolve._band_cholesky(
+        (T.PT @ (Kh @ T.P)).tocoo()))
+    for _ in range(5):
+        a, b = rng.standard_normal((2, mesh.n_free))
+        Ca, Cb = C.matvec(a), C.matvec(b)
+        assert abs(a @ Cb - b @ Ca) <= 1e-12 * np.linalg.norm(a) * np.linalg.norm(Cb)
+        assert a @ Ca > 0.0
 
 
 def test_banded_coarse_solve_matches_dense(ref_stiffness, rng):
@@ -841,6 +852,26 @@ def test_residual_bound_at_spacing_1_64(ref_stiffness, p):
     res = solve(ref_stiffness[0], cfg)
     assert res.converged
     assert _res_rel(ref_stiffness[0], res) <= cfg.outer_tol
+
+
+@pytest.mark.parametrize("p, iters, cg_steps", [
+    (1.5, 59, 254), (3.0, 30, 104), (6.0, 57, 470)])
+def test_newton_work_at_spacing_1_64(monkeypatch, ref_stiffness, p, iters,
+                                     cg_steps):
+    # the steps of the reference annulus at 1/64, and its Newton CG
+    # iterations at most those of a P rebuilt from every Hessian
+    import scipy.sparse.linalg as spla
+    cg = spla.cg
+    steps = []
+
+    def counting(A, b, **kwargs):
+        return cg(A, b, callback=lambda _: steps.append(1), **kwargs)
+
+    monkeypatch.setattr(spla, "cg", counting)
+    res = solve(ref_stiffness[0], SolverConfig(p=p))
+    assert res.converged
+    assert res.outer_iters == iters
+    assert 0 < len(steps) <= cg_steps
 
 
 def test_p3_step_limit_is_not_converged(ref_stiffness):
